@@ -14,7 +14,8 @@ import json
 import os
 import sys
 import time
-from concurrent.futures import ProcessPoolExecutor
+import typing
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from pathlib import Path as FsPath
 
@@ -22,6 +23,7 @@ import numpy as np
 
 from . import __version__, io
 from .calculus import (
+    default_u_grid,
     follmer_integral,
     function_catalogue,
     ito_residual,
@@ -94,13 +96,26 @@ _SECTIONS = {
 _TOP_KEYS = set(_SECTIONS) | {"experiment", "seeds"}
 
 
+def _has_type(value, kind) -> bool:
+    if isinstance(value, bool):  # JSON true/false is never a number
+        return kind is bool
+    if kind is float:
+        return isinstance(value, (int, float))
+    return isinstance(value, kind)
+
+
 def _from_dict(cls, data, where: str):
     if not isinstance(data, dict):
         raise ParameterError(f"section {where!r} must be a JSON object")
-    names = {f.name for f in dataclasses.fields(cls)}
-    unknown = set(data) - names
+    hints = typing.get_type_hints(cls)
+    unknown = set(data) - set(hints)
     if unknown:
         raise ParameterError(f"unknown keys in {where}: {sorted(unknown)}")
+    for key, value in data.items():
+        kinds = typing.get_args(hints[key]) or (hints[key],)  # X | None -> (X, NoneType)
+        if not any(_has_type(value, k) for k in kinds):
+            expected = " or ".join("null" if k is type(None) else k.__name__ for k in kinds)
+            raise ParameterError(f"{where}.{key} must be {expected}, got {value!r}")
     return cls(**data)
 
 
@@ -121,7 +136,7 @@ def parse_config(doc: dict) -> dict:
     if "seeds" in doc:
         seeds = doc["seeds"]
         if (not isinstance(seeds, list) or len(seeds) != 2
-                or not all(isinstance(s, int) for s in seeds) or seeds[0] >= seeds[1]):
+                or not all(_has_type(s, int) for s in seeds) or seeds[0] >= seeds[1]):
             raise ParameterError("seeds must be [lo, hi] with lo < hi")
         out["seeds"] = range(seeds[0], seeds[1])
     return out
@@ -179,18 +194,16 @@ class RunReport:
     def passed(self) -> bool:
         return all(self.verdicts.values())
 
-    def write(self, out_dir: FsPath) -> FsPath:
-        target = out_dir / "report.json"
-        io.write_json(dataclasses.asdict(self), target)
-        return target
 
-
-def _finish(report: RunReport, out_dir: FsPath, quiet=False) -> int:
-    target = report.write(out_dir)
-    if not quiet:
-        for name, ok in report.verdicts.items():
-            print(f"[{report.command}] {name}: {'PASS' if ok else 'FAIL'}")
-        print(f"[{report.command}] report: {target}")
+def _finish(command: str, verdicts: dict, tables: list, t0: float, cfg: dict,
+            out_dir: FsPath, **timings) -> int:
+    report = RunReport(command, verdicts, [str(t) for t in tables],
+                       {"total_s": time.perf_counter() - t0, **timings}, _echo(cfg))
+    target = out_dir / "report.json"
+    io.write_json(dataclasses.asdict(report), target)
+    for name, ok in report.verdicts.items():
+        print(f"[{report.command}] {name}: {'PASS' if ok else 'FAIL'}")
+    print(f"[{report.command}] report: {target}")
     return 0 if report.passed else 2
 
 
@@ -203,14 +216,12 @@ def cmd_gen_path(cfg: dict, out_dir: FsPath, args) -> int:
     path = build_path(cfg["path"], args.seed)
     binfile = out_dir / "path.pqv"
     io.write_path_binary(path, str(binfile))
-    tables = [str(binfile)]
+    tables = [binfile]
     if cfg.get("output", OutputConfig()).format == "csv":
         csvfile = out_dir / "path.csv"
         io.write_path_csv(path, str(csvfile))
-        tables.append(str(csvfile))
-    rep = RunReport("gen-path", {"generated": True}, tables,
-                    {"total_s": time.perf_counter() - t0}, _echo(cfg))
-    return _finish(rep, out_dir)
+        tables.append(csvfile)
+    return _finish("gen-path", {"generated": True}, tables, t0, cfg, out_dir)
 
 
 def cmd_gen_partition(cfg: dict, out_dir: FsPath, args) -> int:
@@ -220,10 +231,7 @@ def cmd_gen_partition(cfg: dict, out_dir: FsPath, args) -> int:
     csvfile = out_dir / "partition.csv"
     sidecar = out_dir / "partition.json"
     io.write_partition_csv(seq, str(csvfile), str(sidecar))
-    rep = RunReport("gen-partition", {"generated": True},
-                    [str(csvfile), str(sidecar)],
-                    {"total_s": time.perf_counter() - t0}, _echo(cfg))
-    return _finish(rep, out_dir)
+    return _finish("gen-partition", {"generated": True}, [csvfile, sidecar], t0, cfg, out_dir)
 
 
 def cmd_qv(cfg: dict, out_dir: FsPath, args) -> int:
@@ -242,9 +250,14 @@ def cmd_qv(cfg: dict, out_dir: FsPath, args) -> int:
         tol = ana.tol if ana.tol is not None else 0.05
         diag = qv_limit_diagnostic(path, seq, tol=tol)
         verdicts["cauchy_at_tol"] = diag.cauchy_at_tol
-    rep = RunReport("qv", verdicts, [str(csvfile)],
-                    {"total_s": time.perf_counter() - t0}, _echo(cfg))
-    return _finish(rep, out_dir)
+    return _finish("qv", verdicts, [csvfile], t0, cfg, out_dir)
+
+
+def _dyadic_selection(seq: PartitionSequence, beta: float):
+    """Dyadic reference on the master grid of ``seq`` and the subsequence l_n chosen in it."""
+    M, T = seq.master_level, seq.horizon
+    reference = gen_dyadic(range(min(seq.level_ids), M + 1), M, T)
+    return reference, select_dyadic_subsequence(seq, beta, reference)
 
 
 def cmd_roughness(cfg: dict, out_dir: FsPath, args) -> int:
@@ -252,9 +265,7 @@ def cmd_roughness(cfg: dict, out_dir: FsPath, args) -> int:
     path = build_path(cfg["path"], args.seed)
     seq = build_partitions(cfg["partition"], path)
     ana = cfg.get("analysis", AnalysisConfig())
-    M, T = seq.master_level, seq.horizon
-    reference = gen_dyadic(range(min(seq.level_ids), M + 1), M, T)
-    sel = select_dyadic_subsequence(seq, ana.beta, reference)
+    reference, sel = _dyadic_selection(seq, ana.beta)
     records, max_gap = [], 0.0
     for n, l_n in zip(sel.level_ids, sel.l):
         stat = roughness_statistic(path, seq.level(n), reference.level(l_n),
@@ -267,9 +278,7 @@ def cmd_roughness(cfg: dict, out_dir: FsPath, args) -> int:
         "selection_sandwich": bool(all(sel.sandwich_ok)) if sel.sandwich_ok else True,
         "decomposition_identity": bool(max_gap < 1e-9),
     }
-    rep = RunReport("roughness", verdicts, [str(csvfile)],
-                    {"total_s": time.perf_counter() - t0}, _echo(cfg))
-    return _finish(rep, out_dir)
+    return _finish("roughness", verdicts, [csvfile], t0, cfg, out_dir)
 
 
 def cmd_integrate(cfg: dict, out_dir: FsPath, args) -> int:
@@ -282,15 +291,12 @@ def cmd_integrate(cfg: dict, out_dir: FsPath, args) -> int:
     csvfile = out_dir / "residual.csv"
     io.write_residual_csv(resid, str(csvfile))
     tol = ana.tol if ana.tol is not None else 0.02
-    integrals = {
-        str(n): follmer_integral(path, fn.f1, part, seq.horizon)
-        for n, part in zip(seq.level_ids, seq)
-    }
+    integrals = {str(n): follmer_integral(path, fn.f1, part, seq.horizon)
+                 for n, part in zip(seq.level_ids, seq)}
     io.write_json(integrals, out_dir / "integrals.json")
     verdicts = {"residual_sup_finest": bool(resid.sup[-1] < tol)}
-    rep = RunReport("integrate", verdicts, [str(csvfile), str(out_dir / "integrals.json")],
-                    {"total_s": time.perf_counter() - t0}, _echo(cfg))
-    return _finish(rep, out_dir)
+    return _finish("integrate", verdicts, [csvfile, out_dir / "integrals.json"], t0, cfg,
+                   out_dir)
 
 
 def cmd_localtime(cfg: dict, out_dir: FsPath, args) -> int:
@@ -299,8 +305,6 @@ def cmd_localtime(cfg: dict, out_dir: FsPath, args) -> int:
     seq = build_partitions(cfg["partition"], path)
     ana = cfg.get("analysis", AnalysisConfig())
     part = seq.partitions[-1]
-    from .calculus import default_u_grid
-
     u = default_u_grid(path, n_u=max(256, ana.u_points))
     t_top = seq.horizon
     field_ = local_time_discrete(path, part, t_grid=[t_top / 2, t_top], u_grid=u,
@@ -318,9 +322,7 @@ def cmd_localtime(cfg: dict, out_dir: FsPath, args) -> int:
         "occupation_factor_full": occ.matched[-1] == "full",
         "tanaka_small": bool(abs(tanaka) < (ana.tol if ana.tol is not None else 0.05)),
     }
-    rep = RunReport("localtime", verdicts, [str(csvfile)],
-                    {"total_s": time.perf_counter() - t0}, _echo(cfg))
-    return _finish(rep, out_dir)
+    return _finish("localtime", verdicts, [csvfile], t0, cfg, out_dir)
 
 
 def cmd_invariance(cfg: dict, out_dir: FsPath, args) -> int:
@@ -338,60 +340,65 @@ def cmd_invariance(cfg: dict, out_dir: FsPath, args) -> int:
         "passed": report.passed,
     }
     io.write_json(out, out_dir / "invariance.json")
-    rep = RunReport("invariance", {"invariance": report.passed},
-                    [str(out_dir / "invariance.json")],
-                    {"total_s": time.perf_counter() - t0}, _echo(cfg))
-    return _finish(rep, out_dir)
+    return _finish("invariance", {"invariance": report.passed}, [out_dir / "invariance.json"],
+                   t0, cfg, out_dir)
 
 
 # --- Monte Carlo ------------------------------------------------------------
 
-def _mc_single(experiment: str, seed: int, cfg: dict) -> dict:
-    pcfg = cfg["path"]
-    path = build_path(pcfg, seed)
+def _mc_setup(experiment: str, cfg: dict) -> dict:
+    """What every seed shares, built once: partitions, the roughness selection,
+    the integrand and a path read from file.  A Lebesgue sequence depends on
+    the path, so it stays None here and is built per seed."""
+    keys = ["partition"]
+    if experiment == "invariance" or (experiment == "integrate" and "partition_b" in cfg):
+        keys.append("partition_b")
+    missing = [k for k in ["path", *keys] if k not in cfg]
+    if missing:
+        raise ParameterError(f"mc {experiment} needs the sections {missing}")
     ana = cfg.get("analysis", AnalysisConfig())
-    T = pcfg.T
+    ctx = {"seqs": {k: None if cfg[k].generator == "lebesgue" else build_partitions(cfg[k])
+                    for k in keys}}
+    if cfg["path"].file:
+        ctx["path"] = io.read_path_binary(cfg["path"].file)
+    if experiment == "integrate":
+        ctx["fn"] = function_catalogue(ana.function, **ana.fn_params)
+    if experiment == "roughness" and ctx["seqs"]["partition"] is not None:
+        ctx["selection"] = _dyadic_selection(ctx["seqs"]["partition"], ana.beta)
+    return ctx
+
+
+def _mc_single(experiment: str, seed: int, cfg: dict, ctx: dict) -> dict:
+    """One seed: build the path (and any Lebesgue sequence), then run the kernel."""
+    path = ctx["path"] if "path" in ctx else build_path(cfg["path"], seed)
+    seqs = {k: build_partitions(cfg[k], path) if seq is None else seq
+            for k, seq in ctx["seqs"].items()}
+    seq_a, seq_b = seqs["partition"], seqs.get("partition_b")
+    ana = cfg.get("analysis", AnalysisConfig())
+    T = cfg["path"].T
     if experiment == "qv":
-        seq = build_partitions(cfg["partition"], path)
-        part = seq.partitions[-1]
-        val = float(qv_level(path, part, [T]).values[-1])
+        val = float(qv_level(path, seq_a.partitions[-1], [T]).values[-1])
         target = ana.target if ana.target is not None else T
         return {"qv_T": val, "abs_err": abs(val - target)}
     if experiment == "invariance":
-        seq_a = build_partitions(cfg["partition"], path)
-        seq_b = build_partitions(cfg["partition_b"], path)
         rep = invariance_check(path, seq_a, seq_b, tol=ana.tol,
                                balance_threshold=ana.balance_threshold)
         finest = int(np.argmin(rep.mesh_a))
         return {"sup_distance": float(rep.sup_distances[finest])}
     if experiment == "integrate":
-        fn = function_catalogue(ana.function, **ana.fn_params)
-        seq_a = build_partitions(cfg["partition"], path)
+        fn = ctx["fn"]
         out = {"integral_a": follmer_integral(path, fn.f1, seq_a.partitions[-1], T)}
-        if "partition_b" in cfg:
-            seq_b = build_partitions(cfg["partition_b"], path)
+        if seq_b is not None:
             out["integral_b"] = follmer_integral(path, fn.f1, seq_b.partitions[-1], T)
             out["abs_diff"] = abs(out["integral_a"] - out["integral_b"])
-        resid = ito_residual(path, fn, seq_a)
-        out["residual_sup"] = float(resid.sup[-1])
+        out["residual_sup"] = float(ito_residual(path, fn, seq_a).sup[-1])
         return out
-    if experiment == "roughness":
-        seq = build_partitions(cfg["partition"], path)
-        M = seq.master_level
-        reference = gen_dyadic(range(min(seq.level_ids), M + 1), M, T)
-        sel = select_dyadic_subsequence(seq, ana.beta, reference)
-        out = {}
-        for n, l_n in zip(sel.level_ids, sel.l):
-            stat = roughness_statistic(path, seq.level(n), reference.level(l_n))
-            out[f"S_{n}"] = stat.S
-        return out
-    raise ParameterError(f"unknown experiment {experiment!r}")
-
-
-def _mc_task(payload):
-    experiment, seed, doc = payload
-    cfg = parse_config(json.loads(doc))
-    return seed, _mc_single(experiment, seed, cfg)
+    if "selection" in ctx:
+        reference, sel = ctx["selection"]
+    else:
+        reference, sel = _dyadic_selection(seq_a, ana.beta)
+    return {f"S_{n}": roughness_statistic(path, seq_a.level(n), reference.level(l_n)).S
+            for n, l_n in zip(sel.level_ids, sel.l)}
 
 
 def _workers(args) -> int:
@@ -399,25 +406,34 @@ def _workers(args) -> int:
         return max(1, args.workers)
     env = os.environ.get("PQV_WORKERS")
     if env:
+        if not env.isdigit():
+            raise ParameterError(f"PQV_WORKERS must be a whole number, got {env!r}")
         return max(1, int(env))
     return min(os.cpu_count() or 1, 8)
 
 
-def cmd_mc(cfg: dict, out_dir: FsPath, args, raw_doc: dict) -> int:
+def cmd_mc(cfg: dict, out_dir: FsPath, args) -> int:
     t0 = time.perf_counter()
     if "experiment" not in cfg or "seeds" not in cfg:
         raise ParameterError("mc needs 'experiment' and 'seeds' keys")
     experiment = cfg["experiment"]
     seeds = list(cfg["seeds"])
-    doc = json.dumps(raw_doc)
+    ctx = _mc_setup(experiment, cfg)
+
+    def run(seed):
+        try:
+            return seed, _mc_single(experiment, seed, cfg, ctx)
+        except Exception as exc:  # name the seed; main prints the message, not a traceback
+            raise PQVError(f"seed {seed}: {exc}") from exc
+
+    # numpy's RNG, cumsum and fancy indexing release the GIL, so seeds overlap
+    # on threads; map returns them in seed order, the order of the reduction
     n_workers = _workers(args)
-    payloads = [(experiment, s, doc) for s in seeds]
     if n_workers == 1 or len(seeds) == 1:
-        results = [_mc_task(p) for p in payloads]
+        results = [run(s) for s in seeds]
     else:
-        with ProcessPoolExecutor(max_workers=n_workers) as pool:
-            results = list(pool.map(_mc_task, payloads))
-    results.sort(key=lambda r: r[0])  # deterministic reduction, ordered by seed
+        with ThreadPoolExecutor(max_workers=n_workers) as pool:
+            results = list(pool.map(run, seeds))
 
     keys = sorted(results[0][1])
     csvfile = out_dir / "mc.csv"
@@ -447,10 +463,8 @@ def cmd_mc(cfg: dict, out_dir: FsPath, args, raw_doc: dict) -> int:
         finest = columns[s_cols[-1]]
         verdicts["final_median_abs_S_lt_tol"] = bool(np.median(np.abs(finest)) < tol)
     io.write_json(stats, out_dir / "mc_stats.json")
-    rep = RunReport("mc", verdicts, [str(csvfile), str(out_dir / "mc_stats.json")],
-                    {"total_s": time.perf_counter() - t0, "workers": n_workers},
-                    _echo(cfg))
-    return _finish(rep, out_dir)
+    return _finish("mc", verdicts, [csvfile, out_dir / "mc_stats.json"], t0, cfg, out_dir,
+                   workers=n_workers)
 
 
 def cmd_report(args) -> int:
@@ -467,15 +481,9 @@ def cmd_report(args) -> int:
 
 
 def _echo(cfg: dict) -> dict:
-    out = {}
-    for key, val in cfg.items():
-        if dataclasses.is_dataclass(val):
-            out[key] = dataclasses.asdict(val)
-        elif isinstance(val, range):
-            out[key] = [val.start, val.stop]
-        else:
-            out[key] = val
-    return out
+    return {key: dataclasses.asdict(val) if dataclasses.is_dataclass(val)
+            else [val.start, val.stop] if isinstance(val, range) else val
+            for key, val in cfg.items()}
 
 
 # ---------------------------------------------------------------------------
@@ -498,9 +506,17 @@ def main(argv=None) -> int:
         description="Quadratic variation, roughness and pathwise calculus pipelines",
     )
     sub = parser.add_subparsers(dest="command", required=True)
-    commands = ("gen-path", "gen-partition", "qv", "roughness", "integrate",
-                "localtime", "invariance", "mc")
-    for name in commands:
+    dispatch = {
+        "gen-path": cmd_gen_path,
+        "gen-partition": cmd_gen_partition,
+        "qv": cmd_qv,
+        "roughness": cmd_roughness,
+        "integrate": cmd_integrate,
+        "localtime": cmd_localtime,
+        "invariance": cmd_invariance,
+        "mc": cmd_mc,
+    }
+    for name in dispatch:
         p = sub.add_parser(name)
         p.add_argument("config", help="JSON config file")
         p.add_argument("--out-dir", default=None, help="output directory")
@@ -514,28 +530,11 @@ def main(argv=None) -> int:
     try:
         if args.command == "report":
             return cmd_report(args)
-        raw_doc = _load_config(args.config)
-        cfg = parse_config(raw_doc)
-        out = cfg.get("output", OutputConfig()).dir
-        if args.out_dir is not None:
-            out = args.out_dir
-        out_dir = FsPath(out)
+        cfg = parse_config(_load_config(args.config))
+        out_dir = FsPath(args.out_dir if args.out_dir is not None
+                         else cfg.get("output", OutputConfig()).dir)
         out_dir.mkdir(parents=True, exist_ok=True)
-        dispatch = {
-            "gen-path": cmd_gen_path,
-            "gen-partition": cmd_gen_partition,
-            "qv": cmd_qv,
-            "roughness": cmd_roughness,
-            "integrate": cmd_integrate,
-            "localtime": cmd_localtime,
-            "invariance": cmd_invariance,
-        }
-        if args.command == "mc":
-            return cmd_mc(cfg, out_dir, args, raw_doc)
         return dispatch[args.command](cfg, out_dir, args)
-    except ParameterError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
     except PQVError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1

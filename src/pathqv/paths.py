@@ -137,11 +137,12 @@ def gen_brownian(seed: int, M: int, T: float, d: int = 1) -> SampledPath:
         raise ParameterError(f"dim must be >= 1, got {d}")
     rng = np.random.default_rng(seed)
     n = 1 << M
-    inc = rng.standard_normal((n, d))
-    inc *= math.sqrt(T / n)
     samples = np.empty((n + 1, d))
     samples[0] = 0.0
-    np.cumsum(inc, axis=0, out=samples[1:])
+    inc = samples[1:]  # increments drawn, scaled and summed in place: no 2^M x d temporary
+    rng.standard_normal(out=inc)
+    inc *= math.sqrt(T / n)
+    np.cumsum(inc, axis=0, out=inc)
     return SampledPath(T, int(M), d, samples, PathMeta("brownian", seed, {}))
 
 

@@ -32,6 +32,16 @@ class TestBrownian:
         b = pq.gen_brownian(1, 6, 1.0, 2)
         assert np.array_equal(a.samples, b.samples)
 
+    @pytest.mark.parametrize("M,d", [(10, 1), (14, 3)])
+    def test_in_place_draw_matches_three_step_formula(self, M, d):
+        # the stream and the summation order of draw, scale, cumsum into a
+        # separate increment array, which the in-place generator must keep
+        rng = np.random.default_rng(11)
+        inc = rng.standard_normal((2**M, d)) * math.sqrt(2.0 / 2**M)
+        expect = np.vstack([np.zeros((1, d)), np.cumsum(inc, axis=0)])
+        w = pq.gen_brownian(11, M, 2.0, d)
+        assert w.samples.tobytes() == expect.tobytes()
+
     @pytest.mark.parametrize("bad", [dict(M=3), dict(T=0.0), dict(T=-1.0), dict(d=0)])
     def test_parameter_errors(self, bad):
         kwargs = dict(seed=0, M=6, T=1.0, d=1)
