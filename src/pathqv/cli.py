@@ -142,6 +142,14 @@ def parse_config(doc: dict) -> dict:
     return out
 
 
+def _sections(cfg: dict, command: str, *keys: str) -> list:
+    """The named config sections, or a ParameterError naming the missing ones."""
+    missing = [k for k in keys if k not in cfg]
+    if missing:
+        raise ParameterError(f"{command} needs the sections {missing}")
+    return [cfg[k] for k in keys]
+
+
 def build_path(cfg: PathConfig, seed_override: int | None = None):
     if cfg.file:
         return io.read_path_binary(cfg.file)
@@ -213,7 +221,8 @@ def _finish(command: str, verdicts: dict, tables: list, t0: float, cfg: dict,
 
 def cmd_gen_path(cfg: dict, out_dir: FsPath, args) -> int:
     t0 = time.perf_counter()
-    path = build_path(cfg["path"], args.seed)
+    (path_cfg,) = _sections(cfg, "gen-path", "path")
+    path = build_path(path_cfg, args.seed)
     binfile = out_dir / "path.pqv"
     io.write_path_binary(path, str(binfile))
     tables = [binfile]
@@ -226,8 +235,9 @@ def cmd_gen_path(cfg: dict, out_dir: FsPath, args) -> int:
 
 def cmd_gen_partition(cfg: dict, out_dir: FsPath, args) -> int:
     t0 = time.perf_counter()
+    (part_cfg,) = _sections(cfg, "gen-partition", "partition")
     path = build_path(cfg["path"], args.seed) if "path" in cfg else None
-    seq = build_partitions(cfg["partition"], path)
+    seq = build_partitions(part_cfg, path)
     csvfile = out_dir / "partition.csv"
     sidecar = out_dir / "partition.json"
     io.write_partition_csv(seq, str(csvfile), str(sidecar))
@@ -236,8 +246,9 @@ def cmd_gen_partition(cfg: dict, out_dir: FsPath, args) -> int:
 
 def cmd_qv(cfg: dict, out_dir: FsPath, args) -> int:
     t0 = time.perf_counter()
-    path = build_path(cfg["path"], args.seed)
-    seq = build_partitions(cfg["partition"], path)
+    path_cfg, part_cfg = _sections(cfg, "qv", "path", "partition")
+    path = build_path(path_cfg, args.seed)
+    seq = build_partitions(part_cfg, path)
     ana = cfg.get("analysis", AnalysisConfig())
     curves = []
     for n, part in zip(seq.level_ids, seq):
@@ -262,8 +273,9 @@ def _dyadic_selection(seq: PartitionSequence, beta: float):
 
 def cmd_roughness(cfg: dict, out_dir: FsPath, args) -> int:
     t0 = time.perf_counter()
-    path = build_path(cfg["path"], args.seed)
-    seq = build_partitions(cfg["partition"], path)
+    path_cfg, part_cfg = _sections(cfg, "roughness", "path", "partition")
+    path = build_path(path_cfg, args.seed)
+    seq = build_partitions(part_cfg, path)
     ana = cfg.get("analysis", AnalysisConfig())
     reference, sel = _dyadic_selection(seq, ana.beta)
     records, max_gap = [], 0.0
@@ -283,8 +295,9 @@ def cmd_roughness(cfg: dict, out_dir: FsPath, args) -> int:
 
 def cmd_integrate(cfg: dict, out_dir: FsPath, args) -> int:
     t0 = time.perf_counter()
-    path = build_path(cfg["path"], args.seed)
-    seq = build_partitions(cfg["partition"], path)
+    path_cfg, part_cfg = _sections(cfg, "integrate", "path", "partition")
+    path = build_path(path_cfg, args.seed)
+    seq = build_partitions(part_cfg, path)
     ana = cfg.get("analysis", AnalysisConfig())
     fn = function_catalogue(ana.function, **ana.fn_params)
     resid = ito_residual(path, fn, seq)
@@ -301,8 +314,9 @@ def cmd_integrate(cfg: dict, out_dir: FsPath, args) -> int:
 
 def cmd_localtime(cfg: dict, out_dir: FsPath, args) -> int:
     t0 = time.perf_counter()
-    path = build_path(cfg["path"], args.seed)
-    seq = build_partitions(cfg["partition"], path)
+    path_cfg, part_cfg = _sections(cfg, "localtime", "path", "partition")
+    path = build_path(path_cfg, args.seed)
+    seq = build_partitions(part_cfg, path)
     ana = cfg.get("analysis", AnalysisConfig())
     part = seq.partitions[-1]
     u = default_u_grid(path, n_u=max(256, ana.u_points))
@@ -327,9 +341,10 @@ def cmd_localtime(cfg: dict, out_dir: FsPath, args) -> int:
 
 def cmd_invariance(cfg: dict, out_dir: FsPath, args) -> int:
     t0 = time.perf_counter()
-    path = build_path(cfg["path"], args.seed)
-    seq_a = build_partitions(cfg["partition"], path)
-    seq_b = build_partitions(cfg["partition_b"], path)
+    path_cfg, part_a, part_b = _sections(cfg, "invariance", "path", "partition", "partition_b")
+    path = build_path(path_cfg, args.seed)
+    seq_a = build_partitions(part_a, path)
+    seq_b = build_partitions(part_b, path)
     ana = cfg.get("analysis", AnalysisConfig())
     report = invariance_check(path, seq_a, seq_b, tol=ana.tol,
                               balance_threshold=ana.balance_threshold)
@@ -353,9 +368,7 @@ def _mc_setup(experiment: str, cfg: dict) -> dict:
     keys = ["partition"]
     if experiment == "invariance" or (experiment == "integrate" and "partition_b" in cfg):
         keys.append("partition_b")
-    missing = [k for k in ["path", *keys] if k not in cfg]
-    if missing:
-        raise ParameterError(f"mc {experiment} needs the sections {missing}")
+    _sections(cfg, f"mc {experiment}", "path", *keys)
     ana = cfg.get("analysis", AnalysisConfig())
     ctx = {"seqs": {k: None if cfg[k].generator == "lebesgue" else build_partitions(cfg[k])
                     for k in keys}}

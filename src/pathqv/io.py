@@ -7,6 +7,7 @@ files.
 
 from __future__ import annotations
 
+import contextlib
 import json
 import os
 import struct
@@ -22,16 +23,52 @@ MAGIC = b"PQV1"
 _KIND_CODE = {k: i for i, k in enumerate(PATH_KINDS)}
 _CODE_KIND = {i: k for k, i in _KIND_CODE.items()}
 
+#: Largest master level and parameter-name length a path file may declare.
+_MAX_LEVEL = 30
+_MAX_NAME = 1024
+
 
 def fmt_float(v: float) -> str:
     return f"{v:.17g}"
 
 
+#: Rows converted with one ``tolist`` and written with one ``join`` at a time.
+_BLOCK_ROWS = 4096
+
+
+@contextlib.contextmanager
+def _opened(file, mode: str):
+    """``file`` itself if it is an open stream, else the named file opened in ``mode``."""
+    if isinstance(file, (str, bytes, os.PathLike)):
+        with open(file, mode) as fh:
+            yield fh
+    else:
+        yield file
+
+
+def _row_slices(n_rows: int):
+    """Consecutive slices of up to _BLOCK_ROWS rows covering range(n_rows)."""
+    return (slice(lo, lo + _BLOCK_ROWS) for lo in range(0, n_rows, _BLOCK_ROWS))
+
+
+def _write_csv(file, header: str, blocks) -> None:
+    """The header line, then each block of finished lines with a single write."""
+    with _opened(file, "w") as fh:
+        fh.write(header)
+        for lines in blocks:
+            fh.write("".join(lines))
+
+
+def _read_exact(fh, n: int, what: str) -> bytes:
+    raw = fh.read(n)
+    if len(raw) != n:
+        raise ParameterError(f"truncated PQV1 file: {what} needs {n} bytes, got {len(raw)}")
+    return raw
+
+
 def write_path_binary(path: SampledPath, file) -> None:
     """magic, u32 M, u32 d, f64 T, u64 seed, u32 kind, params, f64 samples."""
-    own = isinstance(file, (str, bytes, os.PathLike))
-    fh = open(file, "wb") if own else file
-    try:
+    with _opened(file, "wb") as fh:
         fh.write(MAGIC)
         fh.write(struct.pack("<IIdQI", path.master_level, path.dim, path.horizon,
                              path.meta.seed, _KIND_CODE[path.meta.kind]))
@@ -43,60 +80,54 @@ def write_path_binary(path: SampledPath, file) -> None:
             fh.write(raw)
             fh.write(struct.pack("<d", float(value)))
         fh.write(np.ascontiguousarray(path.samples, dtype="<f8").tobytes())
-    finally:
-        if own:
-            fh.close()
 
 
 def read_path_binary(file) -> SampledPath:
-    own = isinstance(file, (str, bytes, os.PathLike))
-    fh = open(file, "rb") if own else file
-    try:
+    """Inverse of write_path_binary; a short or malformed file is a ParameterError."""
+    with _opened(file, "rb") as fh:
         if fh.read(4) != MAGIC:
             raise ParameterError("not a PQV1 path file")
-        m, d, T, seed, kind_code = struct.unpack("<IIdQI", fh.read(28))
-        (n_params,) = struct.unpack("<I", fh.read(4))
+        m, d, T, seed, kind_code = struct.unpack("<IIdQI", _read_exact(fh, 28, "header"))
+        if not 4 <= m <= _MAX_LEVEL or d < 1:
+            raise ParameterError(f"PQV1 header out of range: M={m}, d={d}")
+        (n_params,) = struct.unpack("<I", _read_exact(fh, 4, "parameter count"))
         params = {}
         for _ in range(n_params):
-            (nlen,) = struct.unpack("<I", fh.read(4))
-            name = fh.read(nlen).decode()
-            (value,) = struct.unpack("<d", fh.read(8))
-            params[name] = value
+            (nlen,) = struct.unpack("<I", _read_exact(fh, 4, "parameter name length"))
+            if nlen > _MAX_NAME:
+                raise ParameterError(f"PQV1 parameter name of {nlen} bytes")
+            try:
+                name = _read_exact(fh, nlen, "parameter name").decode()
+            except UnicodeDecodeError as exc:
+                raise ParameterError(f"PQV1 parameter name is not UTF-8: {exc}") from exc
+            (params[name],) = struct.unpack("<d", _read_exact(fh, 8, f"parameter {name}"))
+        # read what is there rather than ask for the header's byte count, so a
+        # bogus d cannot make the reader allocate it
+        rest = fh.read()
         count = ((1 << m) + 1) * d
-        samples = np.frombuffer(fh.read(count * 8), dtype="<f8").reshape(-1, d)
-        kind = _CODE_KIND.get(kind_code, "custom")
-        return SampledPath(T, m, d, samples.copy(), PathMeta(kind, seed, params))
-    finally:
-        if own:
-            fh.close()
+        if len(rest) < 8 * count:
+            raise ParameterError(
+                f"truncated PQV1 file: samples need {8 * count} bytes, got {len(rest)}"
+            )
+        samples = np.frombuffer(rest, dtype="<f8", count=count).reshape(-1, d)
+    kind = _CODE_KIND.get(kind_code, "custom")
+    return SampledPath(T, m, d, samples.copy(), PathMeta(kind, seed, params))
 
 
 def write_path_csv(path: SampledPath, file) -> None:
     """Columns t, x1..xd."""
-    own = isinstance(file, (str, bytes, os.PathLike))
-    fh = open(file, "w") if own else file
-    try:
-        cols = ",".join(f"x{i + 1}" for i in range(path.dim))
-        fh.write(f"t,{cols}\n")
-        for t, row in zip(path.times, path.samples):
-            fh.write(fmt_float(t) + "," + ",".join(fmt_float(v) for v in row) + "\n")
-    finally:
-        if own:
-            fh.close()
+    cols = ",".join(f"x{i + 1}" for i in range(path.dim))
+    blocks = ([fmt_float(t) + "," + ",".join(map(fmt_float, row)) + "\n"
+               for t, row in zip(path.times[s].tolist(), path.samples[s].tolist())]
+              for s in _row_slices(path.n_points))
+    _write_csv(file, f"t,{cols}\n", blocks)
 
 
 def write_partition_csv(seq: PartitionSequence, csv_file, sidecar_file=None) -> None:
     """Columns level, index; JSON sidecar with generator metadata."""
-    own = isinstance(csv_file, (str, bytes, os.PathLike))
-    fh = open(csv_file, "w") if own else csv_file
-    try:
-        fh.write("level,index\n")
-        for n, part in zip(seq.level_ids, seq):
-            for i in part.indices:
-                fh.write(f"{n},{i}\n")
-    finally:
-        if own:
-            fh.close()
+    blocks = ([f"{n},{i}\n" for i in part.indices[s].tolist()]
+              for n, part in zip(seq.level_ids, seq) for s in _row_slices(len(part.indices)))
+    _write_csv(csv_file, "level,index\n", blocks)
     if sidecar_file is not None:
         meta = {
             "generator": seq.generator_meta,
@@ -105,9 +136,7 @@ def write_partition_csv(seq: PartitionSequence, csv_file, sidecar_file=None) -> 
             "T": seq.horizon,
             "levels": list(seq.level_ids),
         }
-        with open(sidecar_file, "w") as sfh:
-            json.dump(meta, sfh, indent=2, sort_keys=True)
-            sfh.write("\n")
+        write_json(meta, sidecar_file)
 
 
 def read_partition_csv(csv_file, M: int, T: float) -> PartitionSequence:
@@ -128,25 +157,20 @@ def read_partition_csv(csv_file, M: int, T: float) -> PartitionSequence:
 
 def write_qv_csv(curves, file) -> None:
     """Columns t, i, j, value, level (component indices are 1-based)."""
-    own = isinstance(file, (str, bytes, os.PathLike))
-    fh = open(file, "w") if own else file
-    try:
-        fh.write("t,i,j,value,level\n")
+
+    def blocks():
         for level, curve in curves:
             d = curve.dim
-            for row, t in enumerate(curve.eval_times):
-                if d == 1:
-                    fh.write(f"{fmt_float(t)},1,1,{fmt_float(curve.values[row])},{level}\n")
-                else:
-                    for i in range(d):
-                        for j in range(d):
-                            fh.write(
-                                f"{fmt_float(t)},{i + 1},{j + 1},"
-                                f"{fmt_float(curve.values[row, i, j])},{level}\n"
-                            )
-    finally:
-        if own:
-            fh.close()
+            pairs = [f",{i + 1},{j + 1}," for i in range(d) for j in range(d)]
+            tail = f",{level}\n"
+            values = curve.values.reshape(len(curve.values), d * d)
+            for s in _row_slices(len(values)):
+                yield [head + pair + fmt_float(v) + tail
+                       for t, row in zip(curve.eval_times[s].tolist(), values[s].tolist())
+                       for head in (fmt_float(t),)
+                       for pair, v in zip(pairs, row)]
+
+    _write_csv(file, "t,i,j,value,level\n", blocks())
 
 
 def read_qv_csv(file):
@@ -179,45 +203,35 @@ def read_qv_csv(file):
 
 def write_localtime_csv(field, file) -> None:
     """Columns t, u, L."""
-    own = isinstance(file, (str, bytes, os.PathLike))
-    fh = open(file, "w") if own else file
-    try:
-        fh.write("t,u,L\n")
-        for ti, t in enumerate(field.t_grid):
-            for ui, u in enumerate(field.u_grid):
-                fh.write(f"{fmt_float(t)},{fmt_float(u)},{fmt_float(field.values[ti, ui])}\n")
-    finally:
-        if own:
-            fh.close()
+    us = [fmt_float(u) + "," for u in np.asarray(field.u_grid).tolist()]
+
+    def blocks():
+        for t, row in zip(np.asarray(field.t_grid).tolist(), field.values):
+            head = fmt_float(t) + ","
+            for s in _row_slices(len(us)):
+                yield [head + u + fmt_float(v) + "\n" for u, v in zip(us[s], row[s].tolist())]
+
+    _write_csv(file, "t,u,L\n", blocks())
 
 
 def write_residual_csv(residual, file) -> None:
     """Columns level, t, residual."""
-    own = isinstance(file, (str, bytes, os.PathLike))
-    fh = open(file, "w") if own else file
-    try:
-        fh.write("level,t,residual\n")
-        for li, level in enumerate(residual.level_ids):
-            for t, r in zip(residual.eval_times, residual.residuals[li]):
-                fh.write(f"{level},{fmt_float(t)},{fmt_float(r)}\n")
-    finally:
-        if own:
-            fh.close()
+    ts = ["," + fmt_float(t) + "," for t in np.asarray(residual.eval_times).tolist()]
+
+    def blocks():
+        for level, row in zip(residual.level_ids, residual.residuals):
+            head = f"{level}"
+            for s in _row_slices(len(ts)):
+                yield [head + t + fmt_float(r) + "\n" for t, r in zip(ts[s], row[s].tolist())]
+
+    _write_csv(file, "level,t,residual\n", blocks())
 
 
 def write_roughness_csv(records, file) -> None:
     """Columns level, seed, S, fine_level, cells."""
-    own = isinstance(file, (str, bytes, os.PathLike))
-    fh = open(file, "w") if own else file
-    try:
-        fh.write("level,seed,S,fine_level,cells\n")
-        for level, seed, stat in records:
-            fh.write(
-                f"{level},{seed},{fmt_float(stat.S)},{stat.fine_level},{stat.n_cells}\n"
-            )
-    finally:
-        if own:
-            fh.close()
+    lines = [f"{level},{seed},{fmt_float(stat.S)},{stat.fine_level},{stat.n_cells}\n"
+             for level, seed, stat in records]
+    _write_csv(file, "level,seed,S,fine_level,cells\n", [lines])
 
 
 def write_json(obj, file) -> None:

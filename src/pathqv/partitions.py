@@ -196,6 +196,10 @@ def gen_dyadic(levels, M: int, T: float) -> PartitionSequence:
     return gen_kadic(2, levels, M, T)
 
 
+#: First window width of the hitting-time search in gen_lebesgue.
+_GALLOP_START = 64
+
+
 def gen_lebesgue(path: SampledPath, n: int) -> Partition:
     """Partition of time by successive hittings of a spatial grid of width 2^-n.
 
@@ -214,12 +218,19 @@ def gen_lebesgue(path: SampledPath, n: int) -> Partition:
     hits = [0]
     cur = 0
     last = len(x) - 1
-    while cur < last:
-        exceed = np.abs(x[cur + 1 :] - x[cur]) >= eps
-        if not exceed.any():
-            break
-        cur = cur + 1 + int(np.argmax(exceed))
-        hits.append(cur)
+    # galloping search: scan a window after the last hit, doubling it on each
+    # miss; the comparisons are those of a full rescan, in the same order, so
+    # the hits are too, at a cost linear in the total gap length
+    lo, width = 1, _GALLOP_START
+    while lo <= last:
+        hi = min(lo + width, last + 1)
+        exceed = np.abs(x[lo:hi] - x[cur]) >= eps
+        if exceed.any():
+            cur = lo + int(np.argmax(exceed))
+            hits.append(cur)
+            lo, width = cur + 1, _GALLOP_START
+        else:
+            lo, width = hi, 2 * width
     if len(hits) < 2:
         warnings.warn("no hitting times found; returning the degenerate partition {0, T}")
         hits = [0]

@@ -8,6 +8,7 @@ pure functions of their seed, so identical inputs reproduce identical arrays.
 
 from __future__ import annotations
 
+import functools
 import hashlib
 import math
 from dataclasses import dataclass, field
@@ -152,12 +153,13 @@ def fgn_autocov(H: float, lags) -> np.ndarray:
     return 0.5 * ((k + 1.0) ** (2 * H) - 2.0 * k ** (2 * H) + np.abs(k - 1.0) ** (2 * H))
 
 
-def _fgn_circulant(rng: np.random.Generator, n: int, H: float):
-    """Exact fGn sample via circulant embedding; None if the embedding fails.
+@functools.lru_cache(maxsize=1)
+def _fgn_scale(n: int, H: float):
+    """Eigenvalue square roots over 2n of the circulant fGn embedding.
 
-    The circulant covariance is diagonalised by the DFT; a complex Gaussian
-    vector shaped by the eigenvalue square roots has real part distributed as
-    the stationary sequence.
+    None if the embedding is not PSD.  The spectrum depends on (n, H) alone,
+    so the last one is kept (one array of 2n floats, 16 MiB at n = 2^20) and
+    returned read-only.
     """
     gamma = fgn_autocov(H, np.arange(n + 1))
     circ = np.concatenate([gamma, gamma[-2:0:-1]])  # length 2n
@@ -166,8 +168,27 @@ def _fgn_circulant(rng: np.random.Generator, n: int, H: float):
         return None
     eig = np.clip(eig, 0.0, None)
     scale = np.sqrt(eig / (2 * n))
-    z = rng.standard_normal(2 * n) + 1j * rng.standard_normal(2 * n)
-    return np.fft.fft(scale * z).real[:n]
+    scale.setflags(write=False)
+    return scale
+
+
+def _fgn_circulant(rng: np.random.Generator, n: int, H: float):
+    """Exact fGn sample via circulant embedding; None if the embedding fails.
+
+    The circulant covariance is diagonalised by the DFT; a complex Gaussian
+    vector shaped by the eigenvalue square roots has real part distributed as
+    the stationary sequence.
+    """
+    scale = _fgn_scale(n, H)
+    if scale is None:
+        return None
+    # the draw of (a + 1j b) * scale, built in place: real parts drawn first
+    z = np.empty(2 * n, dtype=np.complex128)
+    draw = rng.standard_normal(2 * n)
+    z.real = draw
+    z.imag = rng.standard_normal(out=draw)
+    z *= scale
+    return np.fft.fft(z).real[:n]
 
 
 def _fgn_cholesky(rng: np.random.Generator, n: int, H: float):
@@ -198,8 +219,11 @@ def gen_fbm(seed: int, M: int, T: float, H: float) -> SampledPath:
     fallback = fgn is None
     if fallback:
         fgn = _fgn_cholesky(rng, n, H)
-    inc = fgn * (T / n) ** H
-    samples = np.concatenate([[0.0], np.cumsum(inc)])
+    samples = np.empty(n + 1)
+    samples[0] = 0.0
+    inc = samples[1:]  # increments scaled and summed in the output buffer
+    np.multiply(fgn, (T / n) ** H, out=inc)
+    np.cumsum(inc, out=inc)
     meta = PathMeta("fbm", seed, {"H": H, "cholesky_fallback": float(fallback)})
     return SampledPath(T, int(M), 1, samples, meta)
 
@@ -221,7 +245,8 @@ def gen_mixed(seed: int, M: int, T: float, H: float, delta: float) -> SampledPat
         samples = bm.samples.copy()
     else:
         fbm = gen_fbm(derive_subseed(seed, "mixed-fbm"), M, T, H)
-        samples = bm.samples + delta * fbm.samples
+        samples = delta * fbm.samples
+        samples += bm.samples
     meta = PathMeta("mixed", seed, {"H": H, "delta": delta})
     return SampledPath(T, int(M), 1, samples, meta)
 

@@ -345,3 +345,28 @@ class TestMonteCarloEngine:
         assert self._mc(tmp_path, doc, "out", "--workers", "2") == 1
         err = capsys.readouterr().err
         assert err.startswith("error: no reference level") and "seed" not in err
+
+
+class TestMissingSections:
+    _PATH = {"kind": "brownian", "M": 8}
+    _PART = {"generator": "dyadic", "levels": [2, 4], "M": 8}
+
+    @pytest.mark.parametrize("command,doc,missing", [
+        ("gen-path", {"partition": _PART}, ["path"]),
+        ("gen-partition", {"path": _PATH}, ["partition"]),
+        ("qv", {"path": _PATH}, ["partition"]),
+        ("qv", {}, ["path", "partition"]),
+        ("roughness", {"partition": _PART}, ["path"]),
+        ("integrate", {"path": _PATH}, ["partition"]),
+        ("localtime", {"path": _PATH}, ["partition"]),
+        ("invariance", {"path": _PATH, "partition": _PART}, ["partition_b"]),
+    ])
+    def test_exits_one_naming_the_sections(self, tmp_path, capsys, command, doc, missing):
+        assert _run(command, _write(tmp_path, doc), "--out-dir", str(tmp_path / "out")) == 1
+        assert capsys.readouterr().err == f"error: {command} needs the sections {missing}\n"
+
+    def test_mc_keeps_its_wording(self, tmp_path, capsys):
+        doc = {"experiment": "invariance", "seeds": [0, 2], "path": self._PATH,
+               "partition": self._PART}
+        assert _run("mc", _write(tmp_path, doc), "--out-dir", str(tmp_path / "out")) == 1
+        assert capsys.readouterr().err == "error: mc invariance needs the sections ['partition_b']\n"

@@ -1,4 +1,5 @@
 import io as _stdio
+import json
 
 import numpy as np
 import pytest
@@ -112,3 +113,169 @@ class TestCsv:
         f2 = tmp_path / "resid.csv"
         pio.write_residual_csv(resid, str(f2))
         assert f2.read_text().splitlines()[0] == "level,t,residual"
+
+
+# --- per-row reference writers: the formatting the batched writers must keep byte for byte
+
+
+def _ref_write_path_csv(path, fh):
+    cols = ",".join(f"x{i + 1}" for i in range(path.dim))
+    fh.write(f"t,{cols}\n")
+    for t, row in zip(path.times, path.samples):
+        fh.write(pio.fmt_float(t) + "," + ",".join(pio.fmt_float(v) for v in row) + "\n")
+
+
+def _ref_write_qv_csv(curves, fh):
+    fh.write("t,i,j,value,level\n")
+    for level, curve in curves:
+        d = curve.dim
+        for row, t in enumerate(curve.eval_times):
+            if d == 1:
+                fh.write(f"{pio.fmt_float(t)},1,1,{pio.fmt_float(curve.values[row])},{level}\n")
+            else:
+                for i in range(d):
+                    for j in range(d):
+                        fh.write(f"{pio.fmt_float(t)},{i + 1},{j + 1},"
+                                 f"{pio.fmt_float(curve.values[row, i, j])},{level}\n")
+
+
+def _ref_write_localtime_csv(field, fh):
+    fh.write("t,u,L\n")
+    for ti, t in enumerate(field.t_grid):
+        for ui, u in enumerate(field.u_grid):
+            fh.write(f"{pio.fmt_float(t)},{pio.fmt_float(u)},"
+                     f"{pio.fmt_float(field.values[ti, ui])}\n")
+
+
+def _ref_write_residual_csv(residual, fh):
+    fh.write("level,t,residual\n")
+    for li, level in enumerate(residual.level_ids):
+        for t, r in zip(residual.eval_times, residual.residuals[li]):
+            fh.write(f"{level},{pio.fmt_float(t)},{pio.fmt_float(r)}\n")
+
+
+def _ref_write_partition_csv(seq, fh):
+    fh.write("level,index\n")
+    for n, part in zip(seq.level_ids, seq):
+        for i in part.indices:
+            fh.write(f"{n},{i}\n")
+
+
+def _same_bytes(writer, ref, obj):
+    got, want = _stdio.StringIO(), _stdio.StringIO()
+    writer(obj, got)
+    ref(obj, want)
+    assert got.getvalue() == want.getvalue()
+
+
+_EDGE = np.array([-0.0, 1e300, 2.0**-1074, -1e-300, 1 / 3, 0.1, -2.5, 2.0**53 + 2])
+
+
+class TestBatchedWritersMatchPerRow:
+    @pytest.mark.parametrize("d", [1, 2, 4])
+    def test_qv_from_kernels(self, d):
+        w = pq.gen_brownian(5, 10, 1.0, d)
+        seq = pq.gen_dyadic(range(3, 6), 10, 1.0)
+        curves = [(n, pq.qv_matrix(w, part) if d > 1 else pq.qv_level(w, part))
+                  for n, part in zip(seq.level_ids, seq)]
+        _same_bytes(pio.write_qv_csv, _ref_write_qv_csv, curves)
+
+    @pytest.mark.parametrize("d", [1, 2, 4])
+    def test_qv_edge_values_across_blocks(self, d):
+        # 4099 eval times: one full block of 4096 and a short second one
+        n = pio._BLOCK_ROWS + 3
+        rng = np.random.default_rng(d)
+        vals = rng.choice(_EDGE, size=(n,) if d == 1 else (n, d, d))
+        times = np.concatenate([_EDGE, np.arange(n - len(_EDGE)) * 2.0**-12])
+        curve = pq.QVCurve(times, vals)
+        _same_bytes(pio.write_qv_csv, _ref_write_qv_csv, [(7, curve), (np.int64(9), curve)])
+
+    def test_qv_empty_curve_list(self):
+        _same_bytes(pio.write_qv_csv, _ref_write_qv_csv, [])
+
+    @pytest.mark.parametrize("d", [1, 2, 4])
+    def test_path_csv(self, d):
+        # 2^12 + 1 rows: one point past a full block
+        path = pq.gen_brownian(6, 12, 3.0, d)
+        _same_bytes(pio.write_path_csv, _ref_write_path_csv, path)
+        edge = np.tile(_EDGE, (2**4 + 1) * d)[: (2**4 + 1) * d].reshape(-1, d)
+        _same_bytes(pio.write_path_csv, _ref_write_path_csv,
+                    pq.SampledPath(1.0, 4, d, edge, pq.PathMeta("custom")))
+
+    def test_localtime_csv(self):
+        w = pq.gen_brownian(2, 12, 1.0)
+        part = pq.gen_dyadic([8], 12, 1.0).level(8)
+        fld = pq.local_time_discrete(w, part, t_grid=[0.25, 1.0])
+        _same_bytes(pio.write_localtime_csv, _ref_write_localtime_csv, fld)
+        n_u = pio._BLOCK_ROWS + 5
+        rng = np.random.default_rng(0)
+        wide = pq.LocalTimeField(np.linspace(-1.0, 1.0, n_u), np.array([-0.0, 0.5, 1e300]),
+                                 rng.choice(_EDGE, size=(3, n_u)))
+        _same_bytes(pio.write_localtime_csv, _ref_write_localtime_csv, wide)
+
+    def test_residual_csv(self):
+        w = pq.gen_brownian(2, 10, 1.0)
+        seq = pq.gen_dyadic([4, 5, 8], 10, 1.0)
+        resid = pq.ito_residual(w, pq.function_catalogue("square"), seq)
+        _same_bytes(pio.write_residual_csv, _ref_write_residual_csv, resid)
+        n = pio._BLOCK_ROWS * 2
+        rng = np.random.default_rng(1)
+        long = pq.ItoResidual((3, 11), np.linspace(0.0, 1.0, n),
+                              rng.choice(_EDGE, size=(2, n)), np.zeros(2))
+        _same_bytes(pio.write_residual_csv, _ref_write_residual_csv, long)
+
+    def test_partition_csv(self):
+        # level 13 of a 2^14 grid has 8193 indices: two full blocks and one row
+        seq = pq.gen_dyadic([2, 13], 14, 1.0)
+        _same_bytes(pio.write_partition_csv, _ref_write_partition_csv, seq)
+
+    def test_named_file_equals_stream(self, tmp_path):
+        path = pq.gen_brownian(1, 6, 1.0, 2)
+        buf = _stdio.StringIO()
+        pio.write_path_csv(path, buf)
+        pio.write_path_csv(path, str(tmp_path / "p.csv"))
+        assert (tmp_path / "p.csv").read_text() == buf.getvalue()
+
+
+class TestTruncatedPathFile:
+    @staticmethod
+    def _valid():
+        buf = _stdio.BytesIO()
+        pio.write_path_binary(pq.gen_mixed(3, 4, 1.0, 0.75, 0.5), buf)
+        raw = buf.getvalue()
+        return raw, len(raw) - 8 * (2**4 + 1)  # file and header length
+
+    def test_every_header_cut_and_sample_boundary(self):
+        raw, header = self._valid()
+        cuts = list(range(header + 1)) + [header + 8, header + 8 * 9, len(raw) - 8, len(raw) - 1]
+        for cut in cuts:
+            with pytest.raises(pq.ParameterError):
+                pio.read_path_binary(_stdio.BytesIO(raw[:cut]))
+        assert np.array_equal(pio.read_path_binary(_stdio.BytesIO(raw)).samples,
+                              pq.gen_mixed(3, 4, 1.0, 0.75, 0.5).samples)
+
+    @pytest.mark.parametrize("m,d", [(3, 1), (31, 1), (2**32 - 1, 1), (10, 0)])
+    def test_header_out_of_range(self, m, d):
+        raw, _ = self._valid()
+        bad = raw[:4] + m.to_bytes(4, "little") + d.to_bytes(4, "little") + raw[12:]
+        with pytest.raises(pq.ParameterError):
+            pio.read_path_binary(_stdio.BytesIO(bad))
+
+    def test_huge_dim_is_checked_against_the_data(self):
+        raw, _ = self._valid()
+        bad = raw[:8] + (2**32 - 1).to_bytes(4, "little") + raw[12:]
+        with pytest.raises(pq.ParameterError, match="truncated"):
+            pio.read_path_binary(_stdio.BytesIO(bad))
+
+    @pytest.mark.parametrize("size", [10, 40])
+    def test_short_file_exits_one_with_one_line(self, tmp_path, capsys, size):
+        from pathqv import cli
+
+        raw, _ = self._valid()
+        (tmp_path / "p.pqv").write_bytes(raw[:size])
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"path": {"file": str(tmp_path / "p.pqv")},
+                                   "partition": {"generator": "lebesgue", "M": 4}}))
+        assert cli.main(["gen-partition", str(cfg), "--out-dir", str(tmp_path / "o")]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: truncated PQV1 file") and err.count("\n") == 1

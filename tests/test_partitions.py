@@ -69,6 +69,55 @@ class TestLebesgue:
             pq.gen_lebesgue(path, 12)
 
 
+def _lebesgue_full_scan(path, n):
+    """Hitting indices found by rescanning the whole remaining path at each hit."""
+    x = path.scalar()
+    eps = 2.0**-n
+    hits, cur, last = [0], 0, len(x) - 1
+    while cur < last:
+        exceed = np.abs(x[cur + 1 :] - x[cur]) >= eps
+        if not exceed.any():
+            break
+        cur = cur + 1 + int(np.argmax(exceed))
+        hits.append(cur)
+    if len(hits) < 2:
+        hits = [0]
+    if hits[-1] != last:
+        hits.append(last)
+    return np.asarray(hits, dtype=np.int64)
+
+
+class TestLebesgueGallopingParity:
+    @pytest.mark.parametrize("M,n", [(12, 2), (12, 3), (16, 3), (16, 4), (20, 5)])
+    def test_brownian(self, M, n):
+        for seed in (0, 1):
+            path = pq.gen_brownian(seed, M, 1.0)
+            assert np.array_equal(pq.gen_lebesgue(path, n).indices, _lebesgue_full_scan(path, n))
+
+    def test_mixed_path(self):
+        path = pq.gen_mixed(21, 16, 1.0, 0.75, 1.0)
+        assert np.array_equal(pq.gen_lebesgue(path, 4).indices, _lebesgue_full_scan(path, 4))
+
+    def test_one_long_excursion(self):
+        # a flat stretch far longer than many doubled windows, then a climb
+        M = 14
+        t = np.arange(2**M + 1) / 2**M
+        x = np.where(t < 0.9, 1e-3 * np.sin(40 * t), 1e-3 * np.sin(36) + (t - 0.9) * 2.0)
+        path = pq.SampledPath(1.0, M, 1, x, pq.PathMeta("custom"))
+        got = pq.gen_lebesgue(path, 3).indices
+        assert np.array_equal(got, _lebesgue_full_scan(path, 3))
+        assert got[1] > 0.9 * 2**M
+
+    def test_no_hit_still_warns(self):
+        M = 12
+        x = 0.01 * np.sin(np.arange(2**M + 1) / 2**M)
+        path = pq.SampledPath(1.0, M, 1, x, pq.PathMeta("custom"))
+        with pytest.warns(UserWarning, match="no hitting times"):
+            part = pq.gen_lebesgue(path, 2)
+        assert np.array_equal(part.indices, _lebesgue_full_scan(path, 2))
+        assert list(part.indices) == [0, 2**M]
+
+
 class TestRandomBalanced:
     def test_unit_target_is_uniform(self):
         seq = pq.gen_random_balanced(0, range(2, 6), 10, 1.0, 1.0)

@@ -88,6 +88,43 @@ class TestFbm:
         assert abs(np.mean(lag1) - expect) < 5 * np.std(lag1) / math.sqrt(len(lag1))
 
 
+def _fbm_three_temporaries(seed, M, T, H):
+    """gen_fbm written with an uncached spectrum and a separate draw, scale and
+    sum: the stream and the float operations the generator must reproduce."""
+    n = 2**M
+    gamma = fgn_autocov(H, np.arange(n + 1))
+    eig = np.fft.fft(np.concatenate([gamma, gamma[-2:0:-1]])).real
+    scale = np.sqrt(np.clip(eig, 0.0, None) / (2 * n))
+    rng = np.random.default_rng(seed)
+    z = rng.standard_normal(2 * n) + 1j * rng.standard_normal(2 * n)
+    fgn = np.fft.fft(scale * z).real[:n]
+    return np.concatenate([[0.0], np.cumsum(fgn * (T / n) ** H)])
+
+
+class TestFbmCachedSpectrum:
+    @pytest.mark.parametrize("H", [0.1, 0.5, 0.75, 0.95])
+    def test_first_and_cached_calls_match_three_temporary_formula(self, H):
+        pq.paths._fgn_scale.cache_clear()
+        for seed, T in ((3, 1.0), (4, 2.5)):  # the second call reuses the spectrum
+            path = pq.gen_fbm(seed, 12, T, H)
+            assert path.samples[:, 0].tobytes() == _fbm_three_temporaries(seed, 12, T, H).tobytes()
+            assert path.meta.params["cholesky_fallback"] == 0.0
+        info = pq.paths._fgn_scale.cache_info()
+        assert (info.misses, info.hits, info.currsize) == (1, 1, 1)
+
+    def test_cached_scale_is_read_only(self):
+        scale = pq.paths._fgn_scale(2**8, 0.6)
+        assert scale is pq.paths._fgn_scale(2**8, 0.6)
+        with pytest.raises(ValueError):
+            scale[0] = 1.0
+
+    def test_mixed_matches_sum_of_components(self):
+        m = pq.gen_mixed(8, 12, 1.0, 0.7, 0.5)
+        bm = pq.gen_brownian(pq.derive_subseed(8, "mixed-bm"), 12, 1.0, 1)
+        fbm = pq.gen_fbm(pq.derive_subseed(8, "mixed-fbm"), 12, 1.0, 0.7)
+        assert m.samples.tobytes() == (bm.samples + 0.5 * fbm.samples).tobytes()
+
+
 class TestMixed:
     def test_delta_zero_equals_brownian_subseed(self):
         m = pq.gen_mixed(5, 8, 1.0, 0.75, 0.0)
