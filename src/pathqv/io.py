@@ -16,15 +16,14 @@ import numpy as np
 
 from .errors import ParameterError
 from .partitions import PartitionSequence
-from .paths import PATH_KINDS, PathMeta, SampledPath
+from .paths import MAX_LEVEL, PATH_KINDS, PathMeta, SampledPath
 
 MAGIC = b"PQV1"
 
 _KIND_CODE = {k: i for i, k in enumerate(PATH_KINDS)}
 _CODE_KIND = {i: k for k, i in _KIND_CODE.items()}
 
-#: Largest master level and parameter-name length a path file may declare.
-_MAX_LEVEL = 30
+#: Longest parameter name a path file may declare.
 _MAX_NAME = 1024
 
 
@@ -88,7 +87,7 @@ def read_path_binary(file) -> SampledPath:
         if fh.read(4) != MAGIC:
             raise ParameterError("not a PQV1 path file")
         m, d, T, seed, kind_code = struct.unpack("<IIdQI", _read_exact(fh, 28, "header"))
-        if not 4 <= m <= _MAX_LEVEL or d < 1:
+        if not 4 <= m <= MAX_LEVEL or d < 1:
             raise ParameterError(f"PQV1 header out of range: M={m}, d={d}")
         (n_params,) = struct.unpack("<I", _read_exact(fh, 4, "parameter count"))
         params = {}
@@ -105,9 +104,10 @@ def read_path_binary(file) -> SampledPath:
         # bogus d cannot make the reader allocate it
         rest = fh.read()
         count = ((1 << m) + 1) * d
-        if len(rest) < 8 * count:
+        if len(rest) != 8 * count:
+            what = "truncated" if len(rest) < 8 * count else "trailing bytes in"
             raise ParameterError(
-                f"truncated PQV1 file: samples need {8 * count} bytes, got {len(rest)}"
+                f"{what} PQV1 file: samples need {8 * count} bytes, got {len(rest)}"
             )
         samples = np.frombuffer(rest, dtype="<f8", count=count).reshape(-1, d)
     kind = _CODE_KIND.get(kind_code, "custom")

@@ -8,7 +8,6 @@ pure functions of their seed, so identical inputs reproduce identical arrays.
 
 from __future__ import annotations
 
-import functools
 import hashlib
 import math
 from dataclasses import dataclass, field
@@ -32,6 +31,11 @@ PATH_KINDS = (
 #: Largest fGn covariance matrix we are willing to Cholesky-factor when the
 #: circulant embedding is not PSD.
 _CHOLESKY_MAX = 1 << 13
+
+#: Largest master level a path may have (2^30 + 1 samples, 8 GiB per
+#: coordinate); generators, SampledPath and the PQV1 reader share it, so every
+#: path that can be written can be read back.
+MAX_LEVEL = 30
 
 
 def derive_subseed(seed: int, tag: str) -> int:
@@ -70,8 +74,10 @@ class SampledPath:
     def __post_init__(self):
         if self.horizon <= 0 or not math.isfinite(self.horizon):
             raise ParameterError(f"horizon must be positive, got {self.horizon}")
-        if self.master_level < 4:
-            raise ParameterError(f"master level must be >= 4, got {self.master_level}")
+        if not 4 <= self.master_level <= MAX_LEVEL:
+            raise ParameterError(
+                f"master level must lie in 4..{MAX_LEVEL}, got {self.master_level}"
+            )
         if self.dim < 1:
             raise ParameterError(f"dim must be >= 1, got {self.dim}")
         arr = np.asarray(self.samples, dtype=np.float64)
@@ -123,8 +129,8 @@ def master_index_of(times, master_level: int, horizon: float) -> np.ndarray:
 
 
 def _check_gen_args(seed, M, T):
-    if not isinstance(M, (int, np.integer)) or M < 4:
-        raise ParameterError(f"master level must be an integer >= 4, got {M}")
+    if not isinstance(M, (int, np.integer)) or not 4 <= M <= MAX_LEVEL:
+        raise ParameterError(f"master level must be an integer in 4..{MAX_LEVEL}, got {M}")
     if not (T > 0 and math.isfinite(T)):
         raise ParameterError(f"horizon must be positive, got {T}")
     if seed < 0:
@@ -153,23 +159,16 @@ def fgn_autocov(H: float, lags) -> np.ndarray:
     return 0.5 * ((k + 1.0) ** (2 * H) - 2.0 * k ** (2 * H) + np.abs(k - 1.0) ** (2 * H))
 
 
-@functools.lru_cache(maxsize=1)
 def _fgn_scale(n: int, H: float):
-    """Eigenvalue square roots over 2n of the circulant fGn embedding.
-
-    None if the embedding is not PSD.  The spectrum depends on (n, H) alone,
-    so the last one is kept (one array of 2n floats, 16 MiB at n = 2^20) and
-    returned read-only.
-    """
+    """Eigenvalue square roots over 2n of the circulant fGn embedding, or None
+    if the embedding is not PSD; its temporaries are freed before the draw."""
     gamma = fgn_autocov(H, np.arange(n + 1))
     circ = np.concatenate([gamma, gamma[-2:0:-1]])  # length 2n
     eig = np.fft.fft(circ).real
     if eig.min() < -1e-9 * eig.max():
         return None
     eig = np.clip(eig, 0.0, None)
-    scale = np.sqrt(eig / (2 * n))
-    scale.setflags(write=False)
-    return scale
+    return np.sqrt(eig / (2 * n))
 
 
 def _fgn_circulant(rng: np.random.Generator, n: int, H: float):

@@ -261,6 +261,19 @@ class TestTruncatedPathFile:
         with pytest.raises(pq.ParameterError):
             pio.read_path_binary(_stdio.BytesIO(bad))
 
+    def test_reader_accepts_every_level_a_path_may_have(self):
+        # a header at the shared bound passes the range check and fails only
+        # for its missing samples: the reader refuses no level a path can have
+        raw, _ = self._valid()
+        bad = raw[:4] + pq.paths.MAX_LEVEL.to_bytes(4, "little") + raw[8:]
+        with pytest.raises(pq.ParameterError, match="truncated"):
+            pio.read_path_binary(_stdio.BytesIO(bad))
+
+    def test_trailing_bytes_are_refused(self):
+        raw, _ = self._valid()
+        with pytest.raises(pq.ParameterError, match="trailing bytes"):
+            pio.read_path_binary(_stdio.BytesIO(raw + bytes(8)))
+
     def test_huge_dim_is_checked_against_the_data(self):
         raw, _ = self._valid()
         bad = raw[:8] + (2**32 - 1).to_bytes(4, "little") + raw[12:]

@@ -101,28 +101,33 @@ def _fbm_three_temporaries(seed, M, T, H):
     return np.concatenate([[0.0], np.cumsum(fgn * (T / n) ** H)])
 
 
-class TestFbmCachedSpectrum:
+class TestFbmInPlaceDraw:
     @pytest.mark.parametrize("H", [0.1, 0.5, 0.75, 0.95])
-    def test_first_and_cached_calls_match_three_temporary_formula(self, H):
-        pq.paths._fgn_scale.cache_clear()
-        for seed, T in ((3, 1.0), (4, 2.5)):  # the second call reuses the spectrum
+    def test_matches_three_temporary_formula(self, H):
+        for seed, T in ((3, 1.0), (4, 2.5)):
             path = pq.gen_fbm(seed, 12, T, H)
             assert path.samples[:, 0].tobytes() == _fbm_three_temporaries(seed, 12, T, H).tobytes()
             assert path.meta.params["cholesky_fallback"] == 0.0
-        info = pq.paths._fgn_scale.cache_info()
-        assert (info.misses, info.hits, info.currsize) == (1, 1, 1)
-
-    def test_cached_scale_is_read_only(self):
-        scale = pq.paths._fgn_scale(2**8, 0.6)
-        assert scale is pq.paths._fgn_scale(2**8, 0.6)
-        with pytest.raises(ValueError):
-            scale[0] = 1.0
 
     def test_mixed_matches_sum_of_components(self):
         m = pq.gen_mixed(8, 12, 1.0, 0.7, 0.5)
         bm = pq.gen_brownian(pq.derive_subseed(8, "mixed-bm"), 12, 1.0, 1)
         fbm = pq.gen_fbm(pq.derive_subseed(8, "mixed-fbm"), 12, 1.0, 0.7)
         assert m.samples.tobytes() == (bm.samples + 0.5 * fbm.samples).tobytes()
+
+
+class TestMasterLevelBound:
+    def test_generators_refuse_before_allocating(self):
+        # at M=64 a generator without the bound fails in numpy before it
+        # allocates anything, so a broken check cannot exhaust memory here
+        with pytest.raises(pq.ParameterError, match=f"4..{pq.paths.MAX_LEVEL}"):
+            pq.gen_brownian(0, 64, 1.0)
+        with pytest.raises(pq.ParameterError, match=f"4..{pq.paths.MAX_LEVEL}"):
+            pq.gen_fbm(0, 64, 1.0, 0.7)
+
+    def test_sampled_path_refuses_level_beyond_bound(self):
+        with pytest.raises(pq.ParameterError, match=f"4..{pq.paths.MAX_LEVEL}"):
+            pq.SampledPath(1.0, pq.paths.MAX_LEVEL + 1, 1, np.zeros(17), pq.PathMeta("custom"))
 
 
 class TestMixed:
