@@ -26,6 +26,7 @@ from .calculus import (
 )
 from .errors import (
     ExhaustionError,
+    GridMismatchError,
     GroupingError,
     IdentityCheckError,
     PairingError,

@@ -21,7 +21,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ParameterError
-from .partitions import Partition, PartitionSequence
+from .partitions import Partition, PartitionSequence, _require_same_grid
 from .paths import PathMeta, SampledPath, master_index_of
 from .quadvar import QVCurve, _qv_values, default_eval_indices
 
@@ -100,6 +100,7 @@ def _eval_grad(f1, xleft, dim):
 
 def follmer_integral(path: SampledPath, f1, part: Partition, t: float) -> float:
     """Left Riemann sum of f1 along the partition, truncated at t."""
+    _require_same_grid(path, part)
     e = int(master_index_of([t], path.master_level, path.horizon)[0])
     x = path.samples
     pidx = part.indices
@@ -120,6 +121,7 @@ def follmer_integral(path: SampledPath, f1, part: Partition, t: float) -> float:
 
 def follmer_path(path: SampledPath, f1, part: Partition) -> SampledPath:
     """The running pathwise integral sampled on the whole master grid."""
+    _require_same_grid(path, part)
     x = path.samples
     pidx = part.indices
     xl = x[pidx[:-1]]
@@ -144,20 +146,13 @@ def follmer_path(path: SampledPath, f1, part: Partition) -> SampledPath:
 def _stieltjes_against_curve(f2_at_left, part_times, curve: QVCurve, eval_times):
     """Left sums of f2 against curve increments over partition intervals, truncated."""
     q_at_part = curve.at(part_times)
-    out = np.empty(len(eval_times))
     terms = f2_at_left * np.diff(q_at_part)
     cum = np.concatenate([[0.0], np.cumsum(terms)])
+    n = len(part_times)
     k = np.searchsorted(part_times, eval_times, side="right") - 1
-    q_at_eval = curve.at(eval_times)
-    for i, t in enumerate(eval_times):
-        kk = k[i]
-        if kk < 0:
-            out[i] = 0.0
-        elif kk >= len(part_times) - 1:
-            out[i] = cum[-1]
-        else:
-            out[i] = cum[kk] + f2_at_left[kk] * (q_at_eval[i] - q_at_part[kk])
-    return out
+    kin = np.clip(k, 0, n - 2)
+    straddle = cum[kin] + f2_at_left[kin] * (curve.at(eval_times) - q_at_part[kin])
+    return np.where(k < 0, 0.0, np.where(k >= n - 1, cum[-1], straddle))
 
 
 @dataclass(frozen=True)
@@ -183,6 +178,7 @@ def ito_residual_level(
     """
     if path.dim != 1:
         raise ParameterError("ito_residual_level supports one-dimensional paths")
+    _require_same_grid(path, part)
     x = path.scalar()
     pidx = part.indices
     eval_idx = default_eval_indices(path, part) if eval_times is None else \
@@ -263,6 +259,7 @@ def isometry_check(
     """
     if path.dim != 1:
         raise ParameterError("isometry_check supports one-dimensional paths")
+    _require_same_grid(path, seq)
     x = path.scalar()
     sups, ivals = [], []
     times = None
@@ -338,6 +335,7 @@ def local_time_discrete(
     x(t_{j+1}) (closed at the lower value).  At partition points every
     contributing tent is complete and integrates to the squared increment.
     """
+    _require_same_grid(path, part)
     x = path.scalar()
     u = default_u_grid(path) if u_grid is None else np.asarray(u_grid, dtype=np.float64)
     if len(u) < 256:
@@ -355,13 +353,25 @@ def local_time_discrete(
             raise ParameterError("t_grid must be sorted")
     pidx = part.indices
 
-    acc = np.zeros(len(u))
-    values = np.empty((len(t_idx), len(u)))
-    j = 0  # next partition interval not yet accumulated
+    # bincount adds its weights in input order from 0.0, so every node takes
+    # acc first and then its tents in interval order: the same additions as
+    # one slice add per tent, hence the same bits
+    n_u = len(u)
+    u_nodes = np.arange(n_u)
+    acc = np.zeros(n_u)
+    values = np.empty((len(t_idx), n_u))
+    done = np.searchsorted(pidx[1:], t_idx, side="right")  # complete intervals per row
+    j = b0 = b1 = 0  # intervals accumulated; tents of [b0, b1) expanded to pairs
     for row, e in enumerate(t_idx):
-        while j < len(pidx) - 1 and pidx[j + 1] <= e:
-            _add_tent(acc, u, x[pidx[j]], x[pidx[j + 1]], x[pidx[j + 1]])
-            j += 1
+        while j < done[row]:
+            if j == b1:
+                b0, b1 = j, min(j + _TENT_BLOCK, done[-1])
+                nodes, vals, ends = _tent_pairs(u, x[pidx[b0 : b1 + 1]])
+            stop = min(done[row], b1)
+            s0, s1 = ends[j - b0], ends[stop - b0]
+            acc = np.bincount(np.concatenate([u_nodes, nodes[s0:s1]]),
+                              weights=np.concatenate([acc, vals[s0:s1]]), minlength=n_u)
+            j = stop
         if j < len(pidx) - 1 and pidx[j] < e:
             row_vals = acc.copy()
             _add_tent(row_vals, u, x[pidx[j]], x[pidx[j + 1]], x[e])
@@ -369,6 +379,24 @@ def local_time_discrete(
         else:
             values[row] = acc
     return LocalTimeField(u, t_idx * path.master_step, values, level)
+
+
+_TENT_BLOCK = 2048  # complete tents expanded at once; bounds the (node, value) pairs
+
+
+def _tent_pairs(u, xb):
+    """(node, value) pairs of the complete tents over consecutive points xb.
+
+    Pairs run in interval order; the pairs of tent k are ends[k]:ends[k + 1].
+    """
+    a, b = xb[:-1], xb[1:]
+    i0 = np.searchsorted(u, np.minimum(a, b), side="left")
+    i1 = np.searchsorted(u, np.maximum(a, b), side="left")
+    cnt = i1 - i0
+    ends = np.concatenate([[0], np.cumsum(cnt)])
+    nodes = np.arange(ends[-1]) + np.repeat(i0 - ends[:-1], cnt)
+    vals = 2.0 * np.abs(np.repeat(b, cnt) - u[nodes])
+    return nodes, vals, ends
 
 
 def _add_tent(acc, u, a, b, peak):
@@ -398,6 +426,7 @@ def occupation_check(
     reported; the full level range is always appended as a consistency row
     (its factor-1 value is the plain quadratic variation).
     """
+    _require_same_grid(path, part)
     x = path.scalar()
     u = field.u_grid
     bands = [(float(lo), float(hi)) for lo, hi in sets_a]

@@ -19,6 +19,7 @@ import numpy as np
 
 from .errors import (
     ExhaustionError,
+    GridMismatchError,
     IdentityCheckError,
     ParameterError,
     ResolutionError,
@@ -29,6 +30,19 @@ from .paths import SampledPath, derive_subseed, master_index_of
 def snap_to_grid(frac_idx) -> np.ndarray:
     """Nearest master-grid index, ties resolved to the lower index."""
     return np.ceil(np.asarray(frac_idx, dtype=np.float64) - 0.5).astype(np.int64)
+
+
+def _require_same_grid(a, b) -> None:
+    """Refuse two paths, partitions or sequences on different master grids.
+
+    Indices of one grid address other times on another, so every kernel that
+    reads a path at partition indices checks the level M and the horizon T.
+    """
+    if a.master_level != b.master_level or a.horizon != b.horizon:
+        raise GridMismatchError(
+            f"master grids differ: 2^{a.master_level} steps on [0, {a.horizon:g}] "
+            f"against 2^{b.master_level} steps on [0, {b.horizon:g}]"
+        )
 
 
 @dataclass(frozen=True)
@@ -382,8 +396,7 @@ def comparability(
     Count ratios get the same treatment; for balanced inputs the two verdicts
     should agree.
     """
-    if tau.horizon != sigma.horizon or tau.master_level != sigma.master_level:
-        raise ParameterError("sequences must share horizon and master grid")
+    _require_same_grid(tau, sigma)
     common = sorted(set(tau.level_ids) & set(sigma.level_ids))
     if len(common) < 2:
         raise ParameterError("need at least 2 common levels")
@@ -443,8 +456,7 @@ def adjust_subsequence(
     """
     if mode not in ("i", "ii", "iii"):
         raise ParameterError(f"mode must be one of i, ii, iii; got {mode!r}")
-    if tau.horizon != sigma.horizon or tau.master_level != sigma.master_level:
-        raise ParameterError("sequences must share horizon and master grid")
+    _require_same_grid(tau, sigma)
     common = sorted(set(tau.level_ids) & set(sigma.level_ids))
     pre_ok = bool(
         common

@@ -15,7 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import IdentityCheckError, PairingError, ParameterError
-from .partitions import Partition, PartitionSequence
+from .partitions import Partition, PartitionSequence, _require_same_grid
 from .paths import SampledPath, master_index_of
 
 
@@ -91,8 +91,7 @@ def _qv_values(path: SampledPath, part: Partition, eval_idx: np.ndarray) -> np.n
 
 def qv_level(path: SampledPath, part: Partition, eval_times=None) -> QVCurve:
     """Running quadratic variation of the path along one partition level."""
-    if part.master_level != path.master_level or part.horizon != path.horizon:
-        raise ParameterError("partition and path must share the master grid")
+    _require_same_grid(path, part)
     eval_idx = _resolve_eval(path, part, eval_times)
     vals = _qv_values(path, part, eval_idx)
     return QVCurve(eval_idx * path.master_step, vals, (path.meta.kind, -1))
@@ -106,6 +105,7 @@ def qv_matrix(path: SampledPath, part: Partition, eval_times=None) -> QVCurve:
     """
     if path.dim < 2:
         raise ParameterError("qv_matrix needs dim >= 2")
+    _require_same_grid(path, part)
     eval_idx = _resolve_eval(path, part, eval_times)
     d = path.dim
     x = path.samples
@@ -146,6 +146,7 @@ def qv_limit_diagnostic(
     """Across-level sup distances as a finite-level convergence diagnostic."""
     if len(seq) < 3:
         raise ParameterError("need at least 3 levels")
+    _require_same_grid(path, seq)
     eval_idx = _resolve_eval(path, None, eval_times)
     curves = [_qv_values(path, p, eval_idx) for p in seq]
     if path.dim > 1:
@@ -194,6 +195,7 @@ def invariance_check(
     admissible pair against tol (default CLT-scaled in the finest mesh).
     """
     for name, s in (("A", seq_a), ("B", seq_b)):
+        _require_same_grid(path, s)
         worst = max(p.ratio for p in s)
         if worst > balance_threshold:
             raise ParameterError(

@@ -28,7 +28,7 @@ from .errors import (
     ParameterError,
     StatisticalPowerError,
 )
-from .partitions import Partition, PartitionSequence
+from .partitions import Partition, PartitionSequence, _require_same_grid
 from .paths import SampledPath, master_index_of
 
 
@@ -54,8 +54,7 @@ def grouping(coarse: Partition, fine: Partition) -> GroupingIndex:
     Requires every coarse cell to contain at least one fine point (fine mesh
     below the coarse min step is sufficient).
     """
-    if coarse.master_level != fine.master_level or coarse.horizon != fine.horizon:
-        raise ParameterError("coarse and fine partitions must share the master grid")
+    _require_same_grid(coarse, fine)
     if coarse.indices[0] != fine.indices[0] or coarse.indices[-1] != fine.indices[-1]:
         raise ParameterError("coarse and fine partitions must span the same interval")
     p_ext = np.searchsorted(fine.indices, coarse.indices, side="right")
@@ -111,6 +110,7 @@ def roughness_statistic(
     increments (inner products in the vector case).  When profile_times is
     given the running statistic S(t) is attached as well.
     """
+    _require_same_grid(path, fine)
     gi = grouping(coarse, fine)
     b = gi.boundaries
     x = path.samples
@@ -192,6 +192,7 @@ def roughness_double_loop(
     path: SampledPath, coarse: Partition, fine: Partition, t: float | None = None
 ) -> float:
     """Literal double-loop cross-product sum; oracle for small instances."""
+    _require_same_grid(path, fine)
     gi = grouping(coarse, fine)
     b = gi.boundaries
     x = path.samples

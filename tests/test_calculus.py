@@ -5,7 +5,9 @@ from hypothesis import strategies as st
 
 import pathqv as pq
 import strategies as strat
+from pathqv import calculus
 from pathqv.calculus import default_test_bank, default_u_grid, tabulated_function
+from pathqv.paths import master_index_of
 
 
 CATALOGUE = ["square", "cubic", "sin", "exp", "identity", "abs_smooth"]
@@ -146,6 +148,73 @@ class TestItoResidual:
         assert np.allclose(r_curve[on], r_exact[np.isin(et2, part.times)], atol=1e-10)
 
 
+def stieltjes_loop(f2_at_left, part_times, curve, eval_times):
+    """Reference Stieltjes sum: one truncated left sum per evaluation time."""
+    q_at_part = curve.at(part_times)
+    out = np.empty(len(eval_times))
+    cum = np.concatenate([[0.0], np.cumsum(f2_at_left * np.diff(q_at_part))])
+    k = np.searchsorted(part_times, eval_times, side="right") - 1
+    q_at_eval = curve.at(eval_times)
+    for i in range(len(eval_times)):
+        kk = k[i]
+        if kk < 0:
+            out[i] = 0.0
+        elif kk >= len(part_times) - 1:
+            out[i] = cum[-1]
+        else:
+            out[i] = cum[kk] + f2_at_left[kk] * (q_at_eval[i] - q_at_part[kk])
+    return out
+
+
+class TestStieltjesAgainstCurve:
+    """The vectorised Stieltjes sum keeps the bits of the per-time loop."""
+
+    M = 12
+
+    def _partitions(self):
+        dyadic = pq.gen_dyadic([5, 9], self.M, 1.0)
+        rb = pq.gen_random_balanced(3, [7], self.M, 1.0, 3.0)
+        # a stopped partition puts evaluation times before its start and after its end
+        stopped = pq.stop_partition(dyadic, (0.25, 0.75))
+        return [*dyadic, *rb, *stopped]
+
+    def test_matches_loop_bit_for_bit(self):
+        w = pq.gen_brownian(5, self.M, 1.0)
+        curve = pq.qv_level(w, pq.gen_dyadic([10], self.M, 1.0).level(10))
+        f2 = pq.function_catalogue("sin").f2
+        grids = [np.arange(0, 4097, 7) / 4096, np.array([0.0, 0.3125, 1.0]), curve.eval_times]
+        for part in self._partitions():
+            f2l = np.asarray(f2(w.scalar()[part.indices[:-1]]))
+            for et in grids:
+                got = calculus._stieltjes_against_curve(f2l, part.times, curve, et)
+                want = stieltjes_loop(f2l, part.times, curve, et)
+                assert got.tobytes() == want.tobytes()
+
+    def test_residual_and_isometry_with_curve(self, monkeypatch):
+        w = pq.gen_brownian(8, self.M, 1.0)
+        fn = pq.function_catalogue("cubic")
+        seq = pq.gen_dyadic([6, 8, 10], self.M, 1.0)
+        curves = [pq.qv_level(w, seq.level(10)),
+                  pq.qv_level(w, seq.level(6), np.arange(0, 33) / 32)]
+        grids = [None, np.arange(0, 4097, 5) / 4096]
+
+        def run():
+            out = []
+            for qv in curves:
+                for et in grids:
+                    for part in self._partitions():
+                        out.append(pq.ito_residual_level(w, fn, part, qv=qv, eval_times=et))
+                    rep = pq.isometry_check(w, fn, seq, qv=qv, eval_times=et)
+                    out.append((rep.sup_distances, rep.integral_values))
+            return out
+
+        got = run()
+        monkeypatch.setattr(calculus, "_stieltjes_against_curve", stieltjes_loop)
+        want = run()
+        for (a1, a2), (b1, b2) in zip(got, want):
+            assert a1.tobytes() == b1.tobytes() and a2.tobytes() == b2.tobytes()
+
+
 class TestIsometry:
     def test_unit_gradient_equals_qv_both_sides(self):
         w = pq.gen_brownian(3, 12, 1.0)
@@ -240,6 +309,114 @@ class TestLocalTime:
         part = pq.gen_dyadic([5], 10, 1.0).level(5)
         with pytest.raises(pq.ParameterError):
             pq.local_time_discrete(w, part, t_grid=[1.0])
+
+
+def _tent_add(acc, u, a, b, peak):
+    lo, hi = (a, b) if a <= b else (b, a)
+    i0 = np.searchsorted(u, lo, side="left")
+    i1 = np.searchsorted(u, hi, side="left")
+    if i1 > i0:
+        acc[i0:i1] += 2.0 * np.abs(peak - u[i0:i1])
+
+
+def local_time_loop(path, part, t_grid, u):
+    """Reference field: one slice add per partition interval, in interval order."""
+    x = path.scalar()
+    pidx = part.indices
+    if t_grid is None:
+        t_idx = pidx.copy()
+    else:
+        t_idx = master_index_of(t_grid, path.master_level, path.horizon)
+    acc = np.zeros(len(u))
+    values = np.empty((len(t_idx), len(u)))
+    j = 0
+    for row, e in enumerate(t_idx):
+        while j < len(pidx) - 1 and pidx[j + 1] <= e:
+            _tent_add(acc, u, x[pidx[j]], x[pidx[j + 1]], x[pidx[j + 1]])
+            j += 1
+        values[row] = acc
+        if j < len(pidx) - 1 and pidx[j] < e:
+            _tent_add(values[row], u, x[pidx[j]], x[pidx[j + 1]], x[e])
+    return t_idx * path.master_step, values
+
+
+def _oracle_path(kind, M):
+    if kind == "brownian":
+        return pq.gen_brownian(7, M, 1.0)
+    if kind == "mixed":
+        return pq.gen_mixed(11, M, 1.0, 0.75, 0.5)
+    return pq.gen_fbm(13, M, 1.0, 0.3)
+
+
+def _oracle_t_grids(M):
+    n = 1 << M
+    return [None, [1.0], [0.5, 1.0], [3 / n, (n // 3) / n, 0.5 + 1 / n, (n - 5) / n, 1.0],
+            [0.0], [0.0, 2.0**-8]]
+
+
+def _assert_loop_bits(path, part, t_grid, u):
+    fld = pq.local_time_discrete(path, part, t_grid=t_grid, u_grid=u)
+    t_ref, v_ref = local_time_loop(path, part, t_grid, u)
+    assert fld.values.tobytes() == v_ref.tobytes()
+    assert fld.t_grid.tobytes() == t_ref.tobytes()
+    return fld
+
+
+class TestLocalTimeOracle:
+    """The blocked bincount field equals the per-interval tent loop byte for byte."""
+
+    @pytest.mark.parametrize("M", [8, 11, 14])
+    @pytest.mark.parametrize("kind", ["brownian", "mixed", "fbm"])
+    def test_matches_tent_loop(self, kind, M):
+        w = _oracle_path(kind, M)
+        # at M = 14 the reference loop is slow: fewer levels, one u grid and
+        # no row per partition point (test_block_boundaries covers that case)
+        levels = range(M - 6, M + 1) if M < 14 else (8, 11, 12, 13)
+        parts = [*pq.gen_dyadic(levels, M, 1.0),
+                 *pq.gen_random_balanced(5, [M - 5, M - 3], M, 1.0, 3.0),
+                 *pq.stop_partition(pq.gen_dyadic([M - 4], M, 1.0), (0.25, 0.75))]
+        grids = _oracle_t_grids(M) if M < 14 else _oracle_t_grids(M)[1:]
+        for n_u in (256, 512, 1000) if M < 14 else (512,):
+            u = default_u_grid(w, n_u=n_u)
+            for part in parts:
+                for t_grid in grids:
+                    _assert_loop_bits(w, part, t_grid, u)
+
+    @pytest.mark.parametrize("block", [1, 3, 64])
+    def test_block_boundaries(self, block, monkeypatch):
+        # small blocks make rows span several blocks and blocks span several rows
+        monkeypatch.setattr(calculus, "_TENT_BLOCK", block)
+        w = _oracle_path("brownian", 10)
+        u = default_u_grid(w, n_u=256)
+        for part in (*pq.gen_dyadic([4, 7, 10], 10, 1.0),
+                     *pq.gen_random_balanced(2, [6], 10, 1.0, 3.0)):
+            for t_grid in _oracle_t_grids(10):
+                _assert_loop_bits(w, part, t_grid, u)
+
+    def test_row_after_several_blocks(self):
+        w = _oracle_path("brownian", 14)
+        part = pq.gen_dyadic([13], 14, 1.0).level(13)
+        assert part.n_intervals > 2 * calculus._TENT_BLOCK
+        _assert_loop_bits(w, part, [1.0], default_u_grid(w, n_u=512))
+
+    @pytest.mark.parametrize("slope", [1.0, -1.0])
+    def test_path_values_on_u_nodes(self, slope):
+        # every partition value is a u node, so the half-open band ends are exercised
+        w = pq.gen_deterministic("linear", {"slope": slope}, 10, 1.0)
+        u = np.linspace(min(0.0, slope), max(0.0, slope), 513)
+        for lev in (4, 9, 10):
+            part = pq.gen_dyadic([lev], 10, 1.0).level(lev)
+            _assert_loop_bits(w, part, None, u)
+            _assert_loop_bits(w, part, [0.25, 0.3125 + 2.0**-10, 1.0], u)
+
+    def test_rows_without_new_tents(self):
+        # level 6 completes no interval by 2^-8; repeated times add nothing
+        w = _oracle_path("mixed", 12)
+        part = pq.gen_dyadic([6], 12, 1.0).level(6)
+        t_grid = [0.0, 0.0, 2.0**-8, 2.0**-8, 0.5, 0.5, 1.0, 1.0]
+        fld = _assert_loop_bits(w, part, t_grid, default_u_grid(w, n_u=512))
+        assert np.all(fld.values[0] == 0.0)
+        assert np.array_equal(fld.values[4], fld.values[5])
 
 
 class TestOccupation:
