@@ -23,7 +23,7 @@ import numpy as np
 from .errors import ParameterError
 from .partitions import Partition, PartitionSequence, _require_same_grid
 from .paths import PathMeta, SampledPath, master_index_of
-from .quadvar import QVCurve, _qv_values, default_eval_indices
+from .quadvar import QVCurve, _resolve_eval, default_eval_indices
 
 _trapezoid = getattr(np, "trapezoid", None) or np.trapz
 
@@ -181,9 +181,7 @@ def ito_residual_level(
     _require_same_grid(path, part)
     x = path.scalar()
     pidx = part.indices
-    eval_idx = default_eval_indices(path, part) if eval_times is None else \
-        np.union1d(master_index_of(eval_times, path.master_level, path.horizon),
-                   [0, 1 << path.master_level])
+    eval_idx = _resolve_eval(path, part, eval_times)
     et = eval_idx * path.master_step
 
     xl = x[pidx[:-1]]
@@ -251,39 +249,47 @@ def isometry_check(
 ) -> IsometryReport:
     """QV of the running integral against the Stieltjes sum of f1 squared.
 
-    The integral path is precomputed on the full master grid (so it always
-    refines the partition), its QV is taken along the same level, and the
-    right-hand side is the left Stieltjes sum of f1(x)^2 against the supplied
-    QV curve (same-level exact when qv is None, under which the two sides
-    agree to rounding).
+    Along each level the running integral is evaluated only at the partition
+    points and the evaluation indices, where it equals ``follmer_path`` up to
+    the sign of a zero; its QV is taken along the same level.  The right-hand
+    side is the left Stieltjes sum of f1(x)^2 against the supplied QV curve
+    (same-level exact when qv is None, under which the two sides agree to
+    rounding).
     """
     if path.dim != 1:
         raise ParameterError("isometry_check supports one-dimensional paths")
     _require_same_grid(path, seq)
-    x = path.scalar()
+    xs = path.samples
     sups, ivals = [], []
     times = None
     for part in seq:
-        ipath = follmer_path(path, fn.f1, part)
-        eval_idx = default_eval_indices(path, part) if eval_times is None else \
-            np.union1d(master_index_of(eval_times, path.master_level, path.horizon),
-                       [0, 1 << path.master_level])
+        pidx = part.indices
+        n_int = len(pidx) - 1
+        eval_idx = _resolve_eval(path, part, eval_times)
         et = eval_idx * path.master_step
-        lhs = _qv_values(ipath, part, eval_idx)
-        f1l = np.asarray(fn.f1(x[part.indices[:-1]])) ** 2
+        xl = xs[pidx[:-1]]
+        g = _eval_grad(fn.f1, xl, 1)                                  # (N, 1)
+        dx = xs[pidx[1:]] - xl
+        cum = np.concatenate([[0.0], np.cumsum(np.einsum("ij,ij->i", g, dx))])
+        k = np.searchsorted(pidx, eval_idx, side="right") - 1
+        inside = (k >= 0) & (k < n_int)
+        kin = np.where(inside, k, 0)
+        base = np.where(k < 0, 0, np.where(inside, kin, n_int))
+        stra = xs[eval_idx] - xs[pidx[kin]]
+        gk = g[np.minimum(kin, n_int - 1)]
+        # the integral and its same-level QV at the evaluation indices, with
+        # the operations of follmer_path and _qv_values at those indices
+        ie = cum[base] + np.where(inside, np.einsum("ij,ij->i", gk, stra), 0.0)
+        cq = np.concatenate([[0.0], np.cumsum(np.diff(cum) ** 2)])
+        lhs = cq[base] + np.where(inside, ie - cum[kin], 0.0) ** 2
+        f1l = g[:, 0] ** 2
         if qv is None:
-            dx = np.diff(x[part.indices])
-            cum = np.concatenate([[0.0], np.cumsum(f1l * dx**2)])
-            k = np.searchsorted(part.indices, eval_idx, side="right") - 1
-            inside = (k >= 0) & (k < len(part.indices) - 1)
-            kin = np.where(inside, k, 0)
-            stra = np.where(inside, x[eval_idx] - x[part.indices[kin]], 0.0)
-            base = np.where(k < 0, 0, np.where(inside, kin, len(part.indices) - 1))
-            rhs = cum[base] + np.where(inside, f1l[np.minimum(kin, len(f1l) - 1)] * stra**2, 0.0)
+            cum2 = np.concatenate([[0.0], np.cumsum(f1l * dx[:, 0] ** 2)])
+            rhs = cum2[base] + np.where(inside, gk[:, 0] ** 2 * stra[:, 0] ** 2, 0.0)
         else:
             rhs = _stieltjes_against_curve(f1l, part.times, qv, et)
         sups.append(float(np.abs(lhs - rhs).max()))
-        ivals.append(float(ipath.scalar()[-1]))
+        ivals.append(float(cum[-1] + 0.0))
         times = et
     return IsometryReport(
         level_ids=seq.level_ids,

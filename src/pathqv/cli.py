@@ -11,6 +11,7 @@ from __future__ import annotations
 import argparse
 import dataclasses
 import json
+import math
 import os
 import sys
 import time
@@ -116,6 +117,8 @@ def _from_dict(cls, data, where: str):
         if not any(_has_type(value, k) for k in kinds):
             expected = " or ".join("null" if k is type(None) else k.__name__ for k in kinds)
             raise ParameterError(f"{where}.{key} must be {expected}, got {value!r}")
+        if isinstance(value, float) and not math.isfinite(value):  # JSON NaN, Infinity
+            raise ParameterError(f"{where}.{key} must be finite, got {value!r}")
     return cls(**data)
 
 

@@ -120,10 +120,17 @@ class SampledPath:
 def master_index_of(times, master_level: int, horizon: float) -> np.ndarray:
     """Map times to master-grid indices, rejecting off-grid values."""
     t = np.atleast_1d(np.asarray(times, dtype=np.float64))
-    frac = t * ((1 << master_level) / horizon)
+    bad = t[~np.isfinite(t)]
+    if len(bad):
+        raise ParameterError(f"times must be finite: {bad[:5]}")
+    with np.errstate(over="ignore"):  # a huge finite time scales to inf: out of range below
+        frac = t * ((1 << master_level) / horizon)
     idx = np.rint(frac)
-    if np.any(np.abs(frac - idx) > 1e-6) or np.any(idx < 0) or np.any(idx > (1 << master_level)):
-        bad = t[np.abs(frac - idx) > 1e-6]
+    bad = t[(idx < 0) | (idx > (1 << master_level))]
+    if len(bad):
+        raise ParameterError(f"times outside [0, {horizon:g}]: {bad[:5]}")
+    bad = t[np.abs(frac - idx) > 1e-6]
+    if len(bad):
         raise ParameterError(f"times not on the master grid: {bad[:5]}")
     return idx.astype(np.int64)
 

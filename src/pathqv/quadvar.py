@@ -25,16 +25,23 @@ def default_eval_indices(path: SampledPath, part: Partition | None = None) -> np
     coarse = 1 << (M - min(M, 8))
     idx = np.arange(0, (1 << M) + 1, coarse, dtype=np.int64)
     if part is not None:
-        idx = np.union1d(idx, part.indices)
+        idx = _sorted_union(idx, part.indices)
     return idx
 
 
 def _resolve_eval(path: SampledPath, part: Partition | None, eval_times) -> np.ndarray:
+    """Master indices of eval_times plus both ends (the default grid when None)."""
     if eval_times is None:
         return default_eval_indices(path, part)
     idx = master_index_of(eval_times, path.master_level, path.horizon)
-    idx = np.union1d(idx, [0, 1 << path.master_level])
-    return idx.astype(np.int64)
+    return _sorted_union(idx, np.array([0, 1 << path.master_level], dtype=np.int64))
+
+
+def _sorted_union(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """np.union1d of two int64 arrays by one sort (numpy 2 hashes integer unique)."""
+    u = np.concatenate([a, b])
+    u.sort()
+    return u[np.concatenate([[True], u[1:] != u[:-1]])]
 
 
 @dataclass(frozen=True)

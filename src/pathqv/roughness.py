@@ -130,7 +130,8 @@ def roughness_statistic(
         xf = x[np.minimum(fidx, e)]
     dxf = np.diff(xf, axis=0)                                        # (F, d)
     if path.dim == 1:
-        q = dxf[:, 0] * dxf[:, 0]
+        q = dxf[:, 0]
+        np.multiply(q, q, out=q)                                     # dxf is ours: square in place
     else:
         q = np.einsum("ij,ij->i", dxf, dxf)
     q_total = float(q.sum())

@@ -239,6 +239,89 @@ class TestIsometry:
         assert rep.sup_distances[0] < 1e-10
 
 
+def isometry_whole_grid(path, fn, seq, qv=None, eval_times=None):
+    """Reference isometry: the integral path on the whole master grid, then its QV."""
+    x = path.scalar()
+    sups, ivals, times = [], [], None
+    for part in seq:
+        ipath = pq.follmer_path(path, fn.f1, part)
+        eval_idx = pq.quadvar.default_eval_indices(path, part) if eval_times is None else \
+            np.union1d(master_index_of(eval_times, path.master_level, path.horizon),
+                       [0, 1 << path.master_level])
+        et = eval_idx * path.master_step
+        lhs = pq.quadvar._qv_values(ipath, part, eval_idx)
+        f1l = np.asarray(fn.f1(x[part.indices[:-1]])) ** 2
+        if qv is None:
+            dx = np.diff(x[part.indices])
+            cum = np.concatenate([[0.0], np.cumsum(f1l * dx**2)])
+            k = np.searchsorted(part.indices, eval_idx, side="right") - 1
+            inside = (k >= 0) & (k < len(part.indices) - 1)
+            kin = np.where(inside, k, 0)
+            stra = np.where(inside, x[eval_idx] - x[part.indices[kin]], 0.0)
+            base = np.where(k < 0, 0, np.where(inside, kin, len(part.indices) - 1))
+            rhs = cum[base] + np.where(inside, f1l[np.minimum(kin, len(f1l) - 1)] * stra**2, 0.0)
+        else:
+            rhs = calculus._stieltjes_against_curve(f1l, part.times, qv, et)
+        sups.append(float(np.abs(lhs - rhs).max()))
+        ivals.append(float(ipath.scalar()[-1]))
+        times = et
+    return times, np.asarray(sups), np.asarray(ivals)
+
+
+def _isometry_functions():
+    u = np.linspace(-3.0, 3.0, 301)
+    return [*(pq.function_catalogue(n) for n in ("sin", "cubic", "square", "exp")),
+            pq.function_catalogue("abs_smooth", a=0.1, eps=0.05),
+            tabulated_function("tab_sin", u, np.sin(u), np.cos(u), -np.sin(u))]
+
+
+class TestIsometryOracle:
+    """The eval-only isometry keeps the bits of the whole-grid integral path."""
+
+    @pytest.mark.parametrize("M", [8, 11, 14])
+    @pytest.mark.parametrize("kind", ["brownian", "mixed", "fbm"])
+    def test_matches_whole_grid(self, kind, M):
+        w = _oracle_path(kind, M)
+        seqs = [pq.gen_dyadic(range(M - 6, M + 1), M, 1.0),
+                pq.gen_random_balanced(5, [M - 5, M - 3], M, 1.0, 3.0),
+                pq.stop_partition(pq.gen_dyadic([M - 4, M - 1], M, 1.0), (0.25, 0.75))]
+        curves = [None, pq.qv_level(w, pq.gen_dyadic([M - 2], M, 1.0).level(M - 2))]
+        # the last grid is unsorted and holds both ends
+        grids = [None, [0.25, 0.5, 1.0], (np.arange(33) / 32)[::-1]]
+        fns = _isometry_functions()[::{8: 1, 11: 2, 14: 3}[M]]
+        for seq in seqs:
+            for fn in fns:
+                for qv in curves:
+                    for et in grids:
+                        rep = pq.isometry_check(w, fn, seq, qv=qv, eval_times=et)
+                        times, sups, ivals = isometry_whole_grid(w, fn, seq, qv, et)
+                        assert rep.eval_times.tobytes() == times.tobytes()
+                        assert rep.sup_distances.tobytes() == sups.tobytes()
+                        assert rep.integral_values.tobytes() == ivals.tobytes()
+
+    def test_integral_values_end_follmer_path(self):
+        w = _oracle_path("mixed", 10)
+        seqs = [pq.gen_dyadic(range(4, 11), 10, 1.0),
+                pq.stop_partition(pq.gen_dyadic([6, 9], 10, 1.0), (0.25, 0.75))]
+        for fn in _isometry_functions():
+            for seq in seqs:
+                rep = pq.isometry_check(w, fn, seq)
+                want = [pq.follmer_path(w, fn.f1, part).scalar()[-1] for part in seq]
+                assert rep.integral_values.tobytes() == np.asarray(want).tobytes()
+
+    def test_one_gradient_call_per_level(self):
+        w = _oracle_path("brownian", 10)
+        seq = pq.gen_dyadic([5, 7, 9], 10, 1.0)
+        calls = []
+
+        def f1(v):
+            calls.append(len(v))
+            return np.cos(v)
+
+        pq.isometry_check(w, pq.FunctionTriple("sin", np.sin, f1, lambda v: -np.sin(v)), seq)
+        assert calls == [p.n_intervals for p in seq]
+
+
 class TestLocalTime:
     def test_constant_path_zero_field(self):
         p = pq.gen_deterministic("constant", {"c": 1.0}, 10, 1.0)

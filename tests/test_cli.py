@@ -265,6 +265,20 @@ class TestConfigTypes:
         assert _run("mc", cfg, "--out-dir", str(tmp_path / "out")) == 1
         assert "PQV_WORKERS" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("command,section,key,value", [
+        ("qv", "path", "T", float("nan")),
+        ("localtime", "partition", "T", float("inf")),
+        ("integrate", "analysis", "tol", float("nan")),
+        ("roughness", "analysis", "beta", float("-inf")),
+    ])
+    def test_non_finite_numbers_exit_one(self, tmp_path, capsys, command, section, key, value):
+        # json writes NaN and Infinity, and json.load reads them back as floats
+        doc = {"path": {"kind": "brownian", "M": 8}, "partition": {"M": 8, "levels": [4, 6]},
+               "analysis": {}}
+        doc[section][key] = value
+        assert _run(command, _write(tmp_path, doc), "--out-dir", str(tmp_path / "out")) == 1
+        assert capsys.readouterr().err == f"error: {section}.{key} must be finite, got {value!r}\n"
+
     def test_int_for_float_and_null_for_optional_accepted(self, tmp_path):
         section = {"kind": "brownian", "seed": 1, "M": 8, "T": 2, "H": None, "file": None}
         assert self._gen_path(tmp_path, section) == 0

@@ -230,3 +230,45 @@ def test_master_grid_times_are_exact_dyadics():
     p = pq.gen_brownian(0, 6, 1.0)
     assert p.times[32] == 0.5
     assert p.times[-1] == 1.0
+
+
+class TestMasterIndex:
+    """Times map to master indices; non-finite, out-of-range and off-grid times are named."""
+
+    @pytest.mark.parametrize("times,reason,named", [
+        ([np.nan], "times must be finite", "nan"),
+        ([0.5, np.inf, -np.inf], "times must be finite", "inf"),
+        ([2.0], "times outside [0, 1]", "2."),
+        ([0.25, -0.5], "times outside [0, 1]", "-0.5"),
+        ([1e308], "times outside [0, 1]", "1.e+308"),
+        ([0.5, 0.3], "times not on the master grid", "0.3"),
+    ])
+    def test_refused_with_reason_and_values(self, times, reason, named):
+        with pytest.raises(pq.ParameterError) as exc:
+            pq.paths.master_index_of(times, 4, 1.0)
+        msg = str(exc.value)
+        assert msg.startswith(reason) and named in msg
+
+    def test_rounding_at_the_ends_kept(self):
+        idx = pq.paths.master_index_of([-1e-12, 0.5, 1.0 + 1e-12], 4, 1.0)
+        assert idx.dtype == np.int64 and idx.tolist() == [0, 8, 16]
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, 2.0])
+    def test_kernels_refuse(self, bad):
+        w = pq.gen_brownian(0, 8, 1.0)
+        seq = pq.gen_dyadic([4, 6], 8, 1.0)
+        part = seq.level(6)
+        fn = pq.function_catalogue("sin")
+        u = pq.calculus.default_u_grid(w, n_u=256)
+        calls = [
+            lambda: pq.follmer_integral(w, np.cos, part, bad),
+            lambda: pq.qv_level(w, part, [bad]),
+            lambda: pq.qv_limit_diagnostic(w, pq.gen_dyadic([4, 5, 6], 8, 1.0), [bad]),
+            lambda: pq.ito_residual(w, fn, seq, eval_times=[0.5, bad]),
+            lambda: pq.isometry_check(w, fn, seq, eval_times=[bad]),
+            lambda: pq.local_time_discrete(w, part, t_grid=[bad], u_grid=u),
+            lambda: pq.roughness_statistic(w, seq.level(4), part, t=bad),
+        ]
+        for call in calls:
+            with pytest.raises(pq.ParameterError, match="finite|outside"):
+                call()

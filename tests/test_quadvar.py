@@ -123,6 +123,43 @@ class TestQvMatrix:
             assert eig.min() > -1e-12
 
 
+class TestEvalIndices:
+    """The sort-based union keeps the values and dtype of np.union1d."""
+
+    M = 10
+
+    def _assert_union(self, got, want):
+        assert got.dtype == np.int64 and want.dtype == np.int64
+        assert got.tobytes() == want.tobytes()
+
+    @pytest.mark.parametrize("times", [
+        [0.75, 0.25, 0.5],                       # unsorted
+        [0.5, 0.5, 0.25, 0.5, 0.25],             # duplicated
+        [1.0, 0.0],                              # only the two ends
+        [0.0, 0.0, 1.0, 1.0, 0.5],               # ends duplicated
+        [],                                      # none: the ends alone
+        np.arange(1025)[::-3] / 1024,            # reversed, off the 2^8 grid
+    ])
+    def test_resolve_eval_matches_union1d(self, times):
+        w = pq.gen_brownian(1, self.M, 1.0)
+        for part in (None, pq.gen_dyadic([7], self.M, 1.0).level(7)):
+            want = np.union1d(pq.paths.master_index_of(times, self.M, 1.0),
+                              [0, 1 << self.M])
+            self._assert_union(pq.quadvar._resolve_eval(w, part, times), want)
+
+    @pytest.mark.parametrize("M", [6, 8, 12])
+    def test_default_grid_matches_union1d(self, M):
+        w = pq.gen_brownian(1, M, 1.0)
+        coarse = np.arange(0, (1 << M) + 1, 1 << (M - min(M, 8)), dtype=np.int64)
+        parts = [*pq.gen_dyadic([3, M], M, 1.0),
+                 *pq.gen_random_balanced(2, [M - 2], M, 1.0, 3.0),
+                 *pq.stop_partition(pq.gen_dyadic([M - 1], M, 1.0), (0.25, 0.75))]
+        self._assert_union(pq.quadvar.default_eval_indices(w, None), coarse)
+        for part in parts:
+            self._assert_union(pq.quadvar.default_eval_indices(w, part),
+                               np.union1d(coarse, part.indices))
+
+
 class TestStoppedConsistency:
     def test_qv_on_stopped_equals_full_before_stop(self):
         w = pq.gen_brownian(6, 12, 1.0)

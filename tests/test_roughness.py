@@ -155,6 +155,31 @@ class TestRoughnessStatistic:
         )
         assert st_.boundary_max == 0.0
 
+    def test_in_place_square_keeps_the_bits(self):
+        # the reference squares the fine increments into a fresh array
+        M = 12
+        w = pq.gen_mixed(3, M, 1.0, 0.75, 0.5)
+        coarse = pq.gen_random_balanced(4, [5], M, 1.0, 3.0).level(5)
+        fines = [pq.gen_dyadic([10], M, 1.0).level(10),                # strided view of x
+                 pq.gen_random_balanced(6, [9], M, 1.0, 3.0).level(9)]  # gathered x
+        for fine in fines:
+            for t in (None, 0.5 + 3 * 2.0**-M):                         # truncated at t
+                got = pq.roughness_statistic(w, coarse, fine, t=t)
+                gi = pq.roughness.grouping(coarse, fine)
+                b = gi.boundaries
+                e = int(fine.indices[-1]) if t is None else int(round(t * 2**M))
+                xf = w.samples[np.minimum(fine.indices, e)]
+                dxf = np.diff(xf, axis=0)
+                q = dxf[:, 0] * dxf[:, 0]
+                c = xf[b[1:]] - xf[b[:-1]]
+                per_cell = np.einsum("ij,ij->i", c, c) - np.add.reduceat(q, b[:-1])
+                s_qv = pq.roughness._trace_qv_at(
+                    w, pq.roughness.cell_partition(fine, gi), e) - float(q.sum())
+                want = np.array([per_cell.sum(), np.abs(per_cell).max(),
+                                 abs(float(per_cell.sum()) - s_qv)])
+                have = np.array([got.S, got.per_cell_max, got.decomposition_gap])
+                assert have.tobytes() == want.tobytes()
+
     def test_median_abs_decreasing_smoke(self):
         # small-scale version of the Brownian decay: levels 5 and 8
         M = 17
