@@ -17,6 +17,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from numbers import Real
 
 import numpy as np
 
@@ -55,8 +56,22 @@ def _abs_smooth(center: float, eps: float) -> FunctionTriple:
     return FunctionTriple(f"abs_smooth(a={center:g},eps={eps:g})", f, f1, f2)
 
 
+def _check_params(name: str, params: dict, allowed: tuple) -> None:
+    unknown = sorted(set(params) - set(allowed))
+    if unknown:
+        raise ParameterError(f"{name} takes the parameters {list(allowed)}, got {unknown}")
+    for key, value in params.items():
+        if isinstance(value, bool) or not isinstance(value, Real) or not math.isfinite(value):
+            raise ParameterError(f"{name} parameter {key} must be a finite real, got {value!r}")
+
+
 def function_catalogue(name: str, **params) -> FunctionTriple:
-    """Named C^2 test functions: square, cubic, sin, exp, abs_smooth."""
+    """Named C^2 test functions: square, cubic, sin, exp, abs_smooth.
+
+    Only abs_smooth takes parameters (``a``, and ``eps > 0``); an unknown
+    parameter name or a value that is not a finite real raises ParameterError.
+    """
+    _check_params(name, params, ("a", "eps") if name == "abs_smooth" else ())
     if name == "square":
         return FunctionTriple("square", lambda x: x**2, lambda x: 2.0 * x,
                               lambda x: 2.0 * np.ones_like(x))
@@ -71,7 +86,10 @@ def function_catalogue(name: str, **params) -> FunctionTriple:
         return FunctionTriple("identity", lambda x: np.asarray(x, dtype=float),
                               lambda x: np.ones_like(x), lambda x: np.zeros_like(x))
     if name == "abs_smooth":
-        return _abs_smooth(float(params.get("a", 0.0)), float(params.get("eps", 0.1)))
+        eps = float(params.get("eps", 0.1))
+        if eps <= 0.0:
+            raise ParameterError(f"abs_smooth parameter eps must be > 0, got {eps!r}")
+        return _abs_smooth(float(params.get("a", 0.0)), eps)
     raise ParameterError(f"unknown catalogue function {name!r}")
 
 
@@ -169,8 +187,8 @@ def ito_residual_level(
     part: Partition,
     qv: QVCurve | None = None,
     eval_times=None,
-) -> np.ndarray:
-    """Change-of-variable residual along one partition level.
+) -> tuple[np.ndarray, np.ndarray]:
+    """Change-of-variable residual along one partition level: (eval_times, residuals).
 
     residual(t) = f(x(t)) - f(x(0)) - left-sum integral - (1/2) Stieltjes sum
     of f'' against the QV curve (the same-level exact curve when qv is None).

@@ -417,24 +417,14 @@ def _mc_single(experiment: str, seed: int, cfg: dict, ctx: dict) -> dict:
             for n, l_n in zip(sel.level_ids, sel.l)}
 
 
-def _workers(args) -> int:
-    if args.workers is not None:
-        return max(1, args.workers)
-    env = os.environ.get("PQV_WORKERS")
-    if env:
-        if not env.isdigit():
-            raise ParameterError(f"PQV_WORKERS must be a whole number, got {env!r}")
-        return max(1, int(env))
-    return min(os.cpu_count() or 1, 8)
+def run_seeds(experiment: str, cfg: dict, seeds, workers: int = 1) -> list:
+    """Run ``experiment`` once per seed; the (seed, record) pairs in seed order.
 
-
-def cmd_mc(cfg: dict, out_dir: FsPath, args) -> int:
-    t0 = time.perf_counter()
-    if "experiment" not in cfg or "seeds" not in cfg:
-        raise ParameterError("mc needs 'experiment' and 'seeds' keys")
-    experiment = cfg["experiment"]
-    seeds = list(cfg["seeds"])
+    What the seeds share is built once (``_mc_setup``).  An error inside one
+    seed is re-raised as ``PQVError("seed s: ...")``.
+    """
     ctx = _mc_setup(experiment, cfg)
+    seeds = list(seeds)
 
     def run(seed):
         try:
@@ -444,12 +434,19 @@ def cmd_mc(cfg: dict, out_dir: FsPath, args) -> int:
 
     # numpy's RNG, cumsum and fancy indexing release the GIL, so seeds overlap
     # on threads; map returns them in seed order, the order of the reduction
-    n_workers = _workers(args)
-    if n_workers == 1 or len(seeds) == 1:
-        results = [run(s) for s in seeds]
-    else:
-        with ThreadPoolExecutor(max_workers=n_workers) as pool:
-            results = list(pool.map(run, seeds))
+    if workers <= 1 or len(seeds) == 1:
+        return [run(s) for s in seeds]
+    with ThreadPoolExecutor(max_workers=workers) as pool:
+        return list(pool.map(run, seeds))
+
+
+def cmd_mc(cfg: dict, out_dir: FsPath, args) -> int:
+    t0 = time.perf_counter()
+    if "experiment" not in cfg or "seeds" not in cfg:
+        raise ParameterError("mc needs 'experiment' and 'seeds' keys")
+    experiment = cfg["experiment"]
+    n_workers = max(1, args.workers if args.workers is not None else min(os.cpu_count() or 1, 8))
+    results = run_seeds(experiment, cfg, cfg["seeds"], n_workers)
 
     keys = sorted(results[0][1])
     csvfile = out_dir / "mc.csv"
@@ -463,6 +460,8 @@ def cmd_mc(cfg: dict, out_dir: FsPath, args) -> int:
     columns = {k: np.array([rec[k] for _, rec in results]) for k in keys}
     stats = {f"mean_{k}": float(v.mean()) for k, v in columns.items()}
     stats.update({f"median_{k}": float(np.median(v)) for k, v in columns.items()})
+    if len(results) >= 2:
+        stats.update({f"var_{k}": float(v.var(ddof=1)) for k, v in columns.items()})
     verdicts = {}
     if experiment == "qv":
         verdicts["mean_abs_err_lt_tol"] = bool(columns["abs_err"].mean() < tol)
@@ -475,8 +474,7 @@ def cmd_mc(cfg: dict, out_dir: FsPath, args) -> int:
             np.median(columns["residual_sup"]) < tol
         )
     elif experiment == "roughness":
-        s_cols = sorted(k for k in keys if k.startswith("S_"))
-        finest = columns[s_cols[-1]]
+        finest = columns[f"S_{max(int(k[2:]) for k in keys)}"]
         verdicts["final_median_abs_S_lt_tol"] = bool(np.median(np.abs(finest)) < tol)
     io.write_json(stats, out_dir / "mc_stats.json")
     return _finish("mc", verdicts, [csvfile, out_dir / "mc_stats.json"], t0, cfg, out_dir,
@@ -538,7 +536,7 @@ def main(argv=None) -> int:
         p.add_argument("--out-dir", default=None, help="output directory")
         p.add_argument("--seed", type=int, default=None, help="override path seed")
         p.add_argument("--workers", type=int, default=None,
-                       help="worker count (also PQV_WORKERS)")
+                       help="mc worker threads (default: the CPU count, at most 8)")
     p = sub.add_parser("report")
     p.add_argument("report", help="report.json produced by a previous run")
 
@@ -547,6 +545,9 @@ def main(argv=None) -> int:
         if args.command == "report":
             return cmd_report(args)
         cfg = parse_config(_load_config(args.config))
+        if args.command != "mc" and ("seeds" in cfg or "experiment" in cfg):
+            raise ParameterError(f"{args.command} runs one path; run 'seeds' and "
+                                 "'experiment' with pqv mc")
         out_dir = FsPath(args.out_dir if args.out_dir is not None
                          else cfg.get("output", OutputConfig()).dir)
         out_dir.mkdir(parents=True, exist_ok=True)

@@ -30,6 +30,7 @@ from .errors import (
 )
 from .partitions import Partition, PartitionSequence, _require_same_grid
 from .paths import SampledPath, master_index_of
+from .quadvar import _qv_values, qv_level
 
 
 @dataclass(frozen=True)
@@ -156,8 +157,6 @@ def roughness_statistic(
 
     prof_t = prof = None
     if profile_times is not None:
-        from .quadvar import qv_level
-
         fine_curve = qv_level(path, fine, profile_times)
         cell_curve = qv_level(path, cellp, profile_times)
         prof_t = fine_curve.eval_times
@@ -183,8 +182,6 @@ def roughness_statistic(
 
 
 def _trace_qv_at(path: SampledPath, part: Partition, eval_idx: int) -> float:
-    from .quadvar import _qv_values
-
     v = _qv_values(path, part, np.array([eval_idx], dtype=np.int64))
     return float(v[0]) if v.ndim == 1 else float(np.trace(v[0]))
 

@@ -12,6 +12,7 @@ import pytest
 
 import pathqv as pq
 from pathqv.calculus import default_u_grid
+from pathqv.cli import parse_config, run_seeds
 
 
 def _report(cid, ok, detail=""):
@@ -92,18 +93,29 @@ def test_criterion_1e_closed_forms():
     _report("1e", ok, "linear QV, linear S, l_n = 2n selections")
 
 
+# -- Monte Carlo criteria 2-6 run on the `pqv mc` engine ---------------------
+
+def _mc_columns(experiment, doc, n_seeds):
+    """Per-key columns of the mc records for seeds 0..n_seeds-1, in seed order."""
+    records = run_seeds(experiment, parse_config(doc), range(n_seeds), workers=2)
+    return {k: np.array([rec[k] for _, rec in records]) for k in records[0][1]}
+
+
+_BM14 = {"kind": "brownian", "M": 14}
+_DYADIC14 = {"generator": "dyadic", "levels": [14, 14], "M": 14}
+
+
+def _balanced(level, M):
+    return {"generator": "random_balanced", "levels": [level, level], "M": M, "seed": 7,
+            "c_target": 3.0}
+
+
 # -- 2. Brownian QV at level 14 ----------------------------------------------
 
 def test_criterion_2_brownian_qv():
     t0 = time.perf_counter()
-    part = pq.gen_dyadic([14], 14, 1.0).level(14)
-    vals = np.array(
-        [
-            pq.qv_level(pq.gen_brownian(seed, 14, 1.0), part, [1.0]).at(1.0)[0]
-            for seed in range(100)
-        ]
-    )
-    frac = float(np.mean(np.abs(vals - 1.0) < 0.05))
+    cols = _mc_columns("qv", {"path": _BM14, "partition": _DYADIC14}, 100)
+    frac = float(np.mean(cols["abs_err"] < 0.05))
     elapsed = time.perf_counter() - t0
     ok = frac >= 0.95 and elapsed < 30.0
     _report("2", ok, f"{frac:.0%} of 100 seeds within 0.05; {elapsed:.1f}s")
@@ -114,23 +126,17 @@ def test_criterion_2_brownian_qv():
 def test_criterion_3_brownian_roughness_decay():
     t0 = time.perf_counter()
     M, n_seeds = 23, 200
-    rb = pq.gen_random_balanced(7, range(6, 13), M, 1.0, 3.0)
-    ref = pq.gen_dyadic(range(6, M + 1), M, 1.0)
-    sel = pq.select_dyadic_subsequence(rb, 0.5, ref)
-    levels = list(sel.level_ids)
-    svals = {n: [] for n in levels}
-    for seed in range(n_seeds):
-        w = pq.gen_brownian(seed, M, 1.0)
-        for n, l in zip(levels, sel.l):
-            svals[n].append(
-                pq.roughness_statistic(w, rb.level(n), ref.level(l)).S
-            )
-    medians = {n: float(np.median(np.abs(svals[n]))) for n in levels}
-    last4 = [medians[n] for n in levels[-4:]]
+    rb = {"generator": "random_balanced", "levels": [6, 12], "M": M, "seed": 7,
+          "c_target": 3.0}
+    cols = _mc_columns("roughness", {"path": {"kind": "brownian", "M": M}, "partition": rb,
+                                     "analysis": {"beta": 0.5}}, n_seeds)
+    levels = sorted(int(k[2:]) for k in cols)
+    last4 = [float(np.median(np.abs(cols[f"S_{n}"]))) for n in levels[-4:]]
     decreasing = all(b < a for a, b in zip(last4, last4[1:]))
     final_ok = last4[-1] < 0.05
-    var12 = float(np.var(svals[12], ddof=1))
-    budget = 2.0 * 1.0 * rb.level(12).mesh * 1.5
+    var12 = float(np.var(cols["S_12"], ddof=1))
+    mesh12 = pq.gen_random_balanced(7, range(6, 13), M, 1.0, 3.0).level(12).mesh
+    budget = 2.0 * 1.0 * mesh12 * 1.5
     elapsed = time.perf_counter() - t0
     ok = decreasing and final_ok and var12 <= budget and elapsed < 120.0
     _report(
@@ -143,47 +149,34 @@ def test_criterion_3_brownian_roughness_decay():
 
 # -- 4. invariance across balanced sequences ----------------------------------
 
-def test_criterion_4_qv_invariance(bm14_batch):
-    a = pq.gen_dyadic([12], 14, 1.0)
-    b = pq.gen_random_balanced(7, [12], 14, 1.0, 3.0)
-    sups = np.array(
-        [pq.invariance_check(w, a, b, tol=0.05).sup_distances[0] for w in bm14_batch]
-    )
-    frac = float(np.mean(sups < 0.05))
+def test_criterion_4_qv_invariance():
+    doc = {"path": _BM14, "partition": {"generator": "dyadic", "levels": [12, 12], "M": 14},
+           "partition_b": _balanced(12, 14), "analysis": {"tol": 0.05}}
+    frac = float(np.mean(_mc_columns("invariance", doc, 100)["sup_distance"] < 0.05))
     _report("4", frac >= 0.90, f"{frac:.0%} of 100 seeds with sup distance < 0.05")
 
 
 # -- 5. mixed fractional path --------------------------------------------------
 
 def test_criterion_5_mixed_path_qv():
-    part = pq.gen_dyadic([14], 14, 1.0).level(14)
-    mixed = [
-        float(pq.qv_level(pq.gen_mixed(s, 14, 1.0, 0.75, 1.0), part, [1.0]).at(1.0)[0])
-        for s in range(100)
-    ]
-    frac_err = float(np.mean(np.abs(np.array(mixed) - 1.0)))
-    fbm = [
-        float(pq.qv_level(pq.gen_fbm(s, 14, 1.0, 0.75), part, [1.0]).at(1.0)[0])
-        for s in range(100)
-    ]
-    ok = frac_err < 0.1 and float(np.mean(fbm)) < 0.05
-    _report("5", ok, f"mean |[M](1)-1|={frac_err:.4f}, mean [B^H](1)={np.mean(fbm):.4f}")
+    mixed = {"kind": "mixed", "M": 14, "H": 0.75, "delta": 1.0}
+    fbm = {"kind": "fbm", "M": 14, "H": 0.75}
+    frac_err = float(np.mean(_mc_columns("qv", {"path": mixed, "partition": _DYADIC14},
+                                         100)["abs_err"]))
+    fbm_qv = _mc_columns("qv", {"path": fbm, "partition": _DYADIC14}, 100)["qv_T"]
+    ok = frac_err < 0.1 and float(np.mean(fbm_qv)) < 0.05
+    _report("5", ok, f"mean |[M](1)-1|={frac_err:.4f}, mean [B^H](1)={np.mean(fbm_qv):.4f}")
 
 
 # -- 6. pathwise integral invariance -------------------------------------------
 
 def test_criterion_6_integral_invariance():
     M = 16
-    fn = pq.function_catalogue("sin")
-    dy = pq.gen_dyadic([14], M, 1.0)
-    rb = pq.gen_random_balanced(7, [14], M, 1.0, 3.0)
-    diffs, resids = [], []
-    for seed in range(100):
-        w = pq.gen_brownian(seed, M, 1.0)
-        ia = pq.follmer_integral(w, fn.f1, dy.level(14), 1.0)
-        ib = pq.follmer_integral(w, fn.f1, rb.level(14), 1.0)
-        diffs.append(abs(ia - ib))
-        resids.append(float(pq.ito_residual(w, fn, dy).sup[-1]))
+    doc = {"path": {"kind": "brownian", "M": M},
+           "partition": {"generator": "dyadic", "levels": [14, 14], "M": M},
+           "partition_b": _balanced(14, M), "analysis": {"function": "sin"}}
+    cols = _mc_columns("integrate", doc, 100)
+    diffs, resids = cols["abs_diff"], cols["residual_sup"]
     ok = np.median(diffs) < 0.05 and np.median(resids) < 0.02
     _report(
         "6",

@@ -30,6 +30,10 @@ class TestFunctionCatalogue:
         with pytest.raises(pq.ParameterError):
             pq.function_catalogue("tanh")
 
+    def test_numpy_scalar_params_accepted(self):
+        fn = pq.function_catalogue("abs_smooth", a=np.float64(0.5), eps=np.int64(1))
+        assert fn.f(np.array([0.5]))[0] == 1.0
+
     def test_tabulated_interpolates(self):
         u = np.linspace(-2, 2, 401)
         fn = tabulated_function("sq", u, u**2, 2 * u, np.full_like(u, 2.0))

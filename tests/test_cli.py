@@ -1,6 +1,8 @@
 import json
 import os
 import sys
+import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -125,7 +127,7 @@ class TestPipelines:
 
 
 class TestMonteCarlo:
-    def _mc_cfg(self, tmp_path, workers_env=None):
+    def _mc_cfg(self, tmp_path):
         return _write(tmp_path, {
             "experiment": "qv",
             "seeds": [0, 8],
@@ -149,14 +151,6 @@ class TestMonteCarlo:
         assert _run("mc", cfg, "--out-dir", str(out2), "--workers", "4") == 0
         assert (out1 / "mc.csv").read_text() == (out2 / "mc.csv").read_text()
 
-    def test_workers_env_override(self, tmp_path, monkeypatch):
-        monkeypatch.setenv("PQV_WORKERS", "2")
-        cfg = self._mc_cfg(tmp_path)
-        out = tmp_path / "out"
-        assert _run("mc", cfg, "--out-dir", str(out)) == 0
-        report = json.loads((out / "report.json").read_text())
-        assert report["timings"]["workers"] == 2
-
     def test_mc_verdict_failure_exits_two(self, tmp_path):
         out = tmp_path / "out"
         cfg = _write(tmp_path, {
@@ -174,6 +168,45 @@ class TestMonteCarlo:
         _run("mc", cfg, "--out-dir", str(out1), "--workers", "1")
         _run("mc", cfg, "--out-dir", str(out2), "--workers", "1")
         assert (out1 / "mc.csv").read_bytes() == (out2 / "mc.csv").read_bytes()
+
+    def test_roughness_verdict_reads_the_finest_level(self, tmp_path):
+        # coarse levels 9 and 10: "S_9" sorts after "S_10" as a string
+        doc = {"experiment": "roughness", "seeds": [0, 1], "path": {"kind": "brownian", "M": 20},
+               "partition": {"generator": "dyadic", "levels": [9, 10], "M": 20}}
+        assert _run("mc", _write(tmp_path, doc), "--out-dir", str(tmp_path / "a")) in (0, 2)
+        head, row = (tmp_path / "a" / "mc.csv").read_text().splitlines()
+        s = {k: abs(float(v)) for k, v in zip(head.split(","), row.split(","))}
+        tol = (s["S_9"] + s["S_10"]) / 2.0
+        doc["analysis"] = {"tol": tol}
+        code = _run("mc", _write(tmp_path, doc, "b.json"), "--out-dir", str(tmp_path / "b"))
+        assert code == (0 if s["S_10"] < tol else 2)
+
+    def test_stats_carry_sample_variance(self, tmp_path):
+        out = tmp_path / "out"
+        assert _run("mc", self._mc_cfg(tmp_path), "--out-dir", str(out), "--workers", "2") == 0
+        col = np.array([float(r.split(",")[1])
+                        for r in (out / "mc.csv").read_text().splitlines()[1:]])
+        stats = json.loads((out / "mc_stats.json").read_text())
+        assert stats["var_abs_err"] == float(col.var(ddof=1))
+        assert {k.split("_", 1)[0] for k in stats} == {"mean", "median", "var"}
+
+    def test_one_seed_has_no_variance(self, tmp_path):
+        doc = json.loads(Path(self._mc_cfg(tmp_path)).read_text())
+        cfg = _write(tmp_path, dict(doc, seeds=[0, 1]), "one.json")
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert _run("mc", cfg, "--out-dir", str(tmp_path / "out")) == 0
+        stats = json.loads((tmp_path / "out" / "mc_stats.json").read_text())
+        assert sorted(stats) == ["mean_abs_err", "mean_qv_T", "median_abs_err", "median_qv_T"]
+
+    @pytest.mark.parametrize("workers", [None, "0", "3"])
+    def test_workers_count(self, tmp_path, workers):
+        out = tmp_path / "out"
+        extra = () if workers is None else ("--workers", workers)
+        assert _run("mc", self._mc_cfg(tmp_path), "--out-dir", str(out), *extra) == 0
+        report = json.loads((out / "report.json").read_text())
+        expect = min(os.cpu_count() or 1, 8) if workers is None else max(1, int(workers))
+        assert report["timings"]["workers"] == expect
 
 
 # Monte Carlo configs on small grids, one per experiment, each paired with a
@@ -258,12 +291,6 @@ class TestConfigTypes:
         cfg = _write(tmp_path, dict(_MC_CASES["qv"], seeds=[True, 3]))
         assert _run("mc", cfg, "--out-dir", str(tmp_path / "out")) == 1
         assert "seeds" in capsys.readouterr().err
-
-    def test_non_numeric_workers_env_exits_one(self, tmp_path, monkeypatch, capsys):
-        monkeypatch.setenv("PQV_WORKERS", "two")
-        cfg = _write(tmp_path, dict(_MC_CASES["qv"], seeds=[0, 2]))
-        assert _run("mc", cfg, "--out-dir", str(tmp_path / "out")) == 1
-        assert "PQV_WORKERS" in capsys.readouterr().err
 
     @pytest.mark.parametrize("command,section,key,value", [
         ("qv", "path", "T", float("nan")),
@@ -384,3 +411,82 @@ class TestMissingSections:
                "partition": self._PART}
         assert _run("mc", _write(tmp_path, doc), "--out-dir", str(tmp_path / "out")) == 1
         assert capsys.readouterr().err == "error: mc invariance needs the sections ['partition_b']\n"
+
+
+class TestFunctionParams:
+    _DOC = {"path": {"kind": "brownian", "seed": 1, "M": 8},
+            "partition": {"generator": "dyadic", "levels": [4, 6], "M": 8}}
+    _RUNS = {"integrate": {}, "localtime": {},
+             "mc": {"experiment": "integrate", "seeds": [0, 2]}}
+
+    def _run_with(self, tmp_path, command, fn_params):
+        doc = dict(self._DOC, **self._RUNS[command],
+                   analysis={"function": "abs_smooth", "fn_params": fn_params, "tol": 1.0})
+        return _run(command, _write(tmp_path, doc), "--out-dir", str(tmp_path / "out"))
+
+    @pytest.mark.parametrize("command", sorted(_RUNS))
+    @pytest.mark.parametrize("fn_params,message", [
+        ({"a": 0.0, "eps": float("nan")}, "abs_smooth parameter eps must be a finite real, got nan"),
+        ({"eps": float("inf")}, "abs_smooth parameter eps must be a finite real, got inf"),
+        ({"epsilon": 0.5}, "abs_smooth takes the parameters ['a', 'eps'], got ['epsilon']"),
+        ({"eps": "0.1x"}, "abs_smooth parameter eps must be a finite real, got '0.1x'"),
+        ({"a": True}, "abs_smooth parameter a must be a finite real, got True"),
+        ({"eps": 0}, "abs_smooth parameter eps must be > 0, got 0.0"),
+        ({"eps": -0.1}, "abs_smooth parameter eps must be > 0, got -0.1"),
+    ])
+    def test_bad_params_exit_one(self, tmp_path, capsys, command, fn_params, message):
+        assert self._run_with(tmp_path, command, fn_params) == 1
+        assert capsys.readouterr().err == f"error: {message}\n"
+
+    @pytest.mark.parametrize("command", sorted(_RUNS))
+    def test_benchmark_params_run(self, tmp_path, command):
+        assert self._run_with(tmp_path, command, {"a": 0.0, "eps": 0.1}) in (0, 2)
+
+    def test_parameters_of_a_function_without_any(self, tmp_path, capsys):
+        doc = dict(self._DOC, analysis={"function": "square", "fn_params": {"eps": 0.1}})
+        assert _run("integrate", _write(tmp_path, doc), "--out-dir", str(tmp_path / "out")) == 1
+        assert capsys.readouterr().err == "error: square takes the parameters [], got ['eps']\n"
+
+
+class TestSeedsOnlyForMc:
+    _DOC = {"path": {"kind": "brownian", "M": 8},
+            "partition": {"generator": "dyadic", "levels": [4, 6], "M": 8},
+            "partition_b": {"generator": "dyadic", "levels": [4, 6], "M": 8}}
+
+    @pytest.mark.parametrize("command", ["gen-path", "gen-partition", "qv", "roughness",
+                                         "integrate", "localtime", "invariance"])
+    @pytest.mark.parametrize("extra", [{"seeds": [0, 100]}, {"experiment": "qv"}])
+    def test_other_subcommands_refuse(self, tmp_path, capsys, command, extra):
+        cfg = _write(tmp_path, dict(self._DOC, **extra))
+        assert _run(command, cfg, "--out-dir", str(tmp_path / "out")) == 1
+        err = capsys.readouterr().err
+        assert err == (f"error: {command} runs one path; run 'seeds' and 'experiment' "
+                       "with pqv mc\n")
+        assert not (tmp_path / "out" / "report.json").exists()
+
+
+# The subcommand each shipped config is written for, and the sections it needs.
+_CONFIGS = Path(__file__).resolve().parent.parent / "scripts" / "configs"
+_SHIPPED = {"invariance.json": "mc", "localtime.json": "localtime", "qv_mc.json": "mc",
+            "roughness_decay.json": "mc"}
+_NEEDS = {"qv": ["path", "partition"], "roughness": ["path", "partition"],
+          "integrate": ["path", "partition"], "localtime": ["path", "partition"],
+          "invariance": ["path", "partition", "partition_b"]}
+
+
+class TestShippedConfigs:
+    def test_every_config_is_listed(self):
+        assert sorted(p.name for p in _CONFIGS.glob("*.json")) == sorted(_SHIPPED)
+
+    @pytest.mark.parametrize("name", sorted(_SHIPPED))
+    def test_parses_with_the_sections_it_needs(self, name):
+        cfg = cli.parse_config(json.loads((_CONFIGS / name).read_text()))
+        command = _SHIPPED[name]
+        if command == "mc":
+            assert "experiment" in cfg and "seeds" in cfg
+            command = cfg["experiment"]
+        else:
+            assert "experiment" not in cfg and "seeds" not in cfg
+        cli._sections(cfg, command, *_NEEDS[command])
+        for key in _NEEDS[command][1:]:  # every partition on the path's master grid
+            assert (cfg[key].M, cfg[key].T) == (cfg["path"].M, cfg["path"].T)
