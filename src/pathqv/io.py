@@ -147,9 +147,14 @@ def read_partition_csv(csv_file, M: int, T: float) -> PartitionSequence:
         header = fh.readline().strip()
         if header != "level,index":
             raise ParameterError(f"unexpected partition CSV header {header!r}")
-        for line in fh:
-            lev, idx = line.strip().split(",")
-            by_level.setdefault(int(lev), []).append(int(idx))
+        for lineno, line in enumerate(fh, start=2):
+            try:
+                lev, idx = map(int, line.strip().split(","))
+            except ValueError:
+                raise ParameterError(
+                    f"{csv_file}, line {lineno}: expected 'level,index', got {line.strip()!r}"
+                ) from None
+            by_level.setdefault(lev, []).append(idx)
     levels = sorted(by_level)
     parts = tuple(Partition(np.array(by_level[n]), M, T) for n in levels)
     return PartitionSequence(parts, tuple(levels), "from_csv")

@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import math
 import warnings
-from dataclasses import dataclass, field
+from dataclasses import FrozenInstanceError, dataclass, field
 from functools import cached_property
 
 import numpy as np
@@ -24,7 +24,7 @@ from .errors import (
     ParameterError,
     ResolutionError,
 )
-from .paths import SampledPath, derive_subseed, master_index_of
+from .paths import SampledPath, check_master_level, derive_subseed, master_index_of
 
 
 def snap_to_grid(frac_idx) -> np.ndarray:
@@ -45,28 +45,75 @@ def _require_same_grid(a, b) -> None:
         )
 
 
-@dataclass(frozen=True)
 class Partition:
-    indices: np.ndarray
-    master_level: int
-    horizon: float
+    """Strictly increasing master-grid indices on 2^M steps of [0, T].
 
-    def __post_init__(self):
-        idx = np.asarray(self.indices, dtype=np.int64)
-        if idx.ndim != 1 or idx.size < 2:
-            raise ParameterError("a partition needs at least 2 indices")
-        if np.any(np.diff(idx) <= 0):
-            raise ParameterError("partition indices must be strictly increasing")
-        if idx[0] < 0 or idx[-1] > (1 << self.master_level):
+    `indices` is an int64 array or a `range`.  A range (how gen_kadic holds
+    dyadic levels) is kept as its start, stride and count: the read-only
+    `indices` array is built on first read and cached, while the step
+    statistics, the span and the end points are answered by arithmetic.
+    """
+
+    def __init__(self, indices, master_level: int, horizon: float):
+        check_master_level(master_level)
+        if isinstance(indices, range):
+            pts = indices
+            if len(pts) < 2:
+                raise ParameterError("a partition needs at least 2 indices")
+            if pts.step <= 0:
+                raise ParameterError("partition indices must be strictly increasing")
+        else:
+            pts = np.asarray(indices, dtype=np.int64)
+            if pts.ndim != 1 or pts.size < 2:
+                raise ParameterError("a partition needs at least 2 indices")
+            if np.any(np.diff(pts) <= 0):
+                raise ParameterError("partition indices must be strictly increasing")
+        if pts[0] < 0 or pts[-1] > (1 << master_level):
             raise ParameterError("partition indices outside the master grid")
-        if not (self.horizon > 0 and math.isfinite(self.horizon)):
-            raise ParameterError(f"horizon must be positive, got {self.horizon}")
+        if not (horizon > 0 and math.isfinite(horizon)):
+            raise ParameterError(f"horizon must be positive, got {horizon}")
+        state = self.__dict__
+        if isinstance(pts, np.ndarray):
+            pts.setflags(write=False)
+            state["indices"] = pts
+        state["_points"] = pts
+        state["master_level"] = master_level
+        state["horizon"] = horizon
+
+    def __setattr__(self, name, value):
+        raise FrozenInstanceError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name):
+        raise FrozenInstanceError(f"cannot delete field {name!r}")
+
+    def __repr__(self) -> str:
+        return f"Partition({self._points!r}, {self.master_level!r}, {self.horizon!r})"
+
+    @cached_property
+    def indices(self) -> np.ndarray:
+        r = self._points
+        idx = np.arange(r.start, r.stop, r.step, dtype=np.int64)
         idx.setflags(write=False)
-        object.__setattr__(self, "indices", idx)
+        return idx
+
+    def indices_at(self, pos) -> np.ndarray:
+        """``indices[pos]``, by arithmetic when the indices are held as a range."""
+        r = self._points
+        if isinstance(r, range):
+            return r.start + np.asarray(pos) * r.step
+        return self.indices[pos]
+
+    @property
+    def first_index(self) -> int:
+        return int(self._points[0])
+
+    @property
+    def last_index(self) -> int:
+        return int(self._points[-1])
 
     @property
     def n_intervals(self) -> int:
-        return len(self.indices) - 1
+        return len(self._points) - 1
 
     @property
     def master_step(self) -> float:
@@ -84,31 +131,41 @@ class Partition:
         d.setflags(write=False)
         return d
 
+    @cached_property
+    def _step_bounds(self) -> tuple:
+        """(smallest, largest) index step."""
+        r = self._points
+        if isinstance(r, range):
+            return r.step, r.step
+        s = self.index_steps
+        return int(s.min()), int(s.max())
+
     @property
     def mesh(self) -> float:
-        return float(self.index_steps.max() * self.master_step)
+        return float(self._step_bounds[1] * self.master_step)
 
     @property
     def min_step(self) -> float:
-        return float(self.index_steps.min() * self.master_step)
+        return float(self._step_bounds[0] * self.master_step)
 
     @property
     def ratio(self) -> float:
         """Largest over smallest interval, the per-level balance ratio."""
-        return float(self.index_steps.max() / self.index_steps.min())
+        lo, hi = self._step_bounds
+        return float(hi / lo)
 
-    @cached_property
+    @property
     def uniform_stride(self) -> int:
         """Common index step when the partition is uniform, else 0."""
-        s = self.index_steps
-        return int(s[0]) if bool(np.all(s == s[0])) else 0
+        lo, hi = self._step_bounds
+        return lo if lo == hi else 0
 
     @property
     def span(self) -> float:
-        return float((self.indices[-1] - self.indices[0]) * self.master_step)
+        return float((self.last_index - self.first_index) * self.master_step)
 
     def spans_full_horizon(self) -> bool:
-        return self.indices[0] == 0 and self.indices[-1] == (1 << self.master_level)
+        return self.first_index == 0 and self.last_index == (1 << self.master_level)
 
 
 @dataclass(frozen=True)
@@ -171,12 +228,14 @@ class PartitionSequence:
 def gen_kadic(k: int, levels, M: int, T: float) -> PartitionSequence:
     """k-adic partition sequence; level n has k^n intervals.
 
-    k = 2 is exact on the master grid (requires n <= M).  For other k the
+    k = 2 is exact on the master grid (requires n <= M) and each level is held
+    as a range, its indices built on first read.  For other k the
     points j*T/k^n are snapped to the nearest master index, which requires
     2^M >= 4*k^n so the snapping cannot collide.
     """
     if k < 2:
         raise ParameterError(f"k must be >= 2, got {k}")
+    check_master_level(M)
     level_ids = [int(n) for n in levels]
     if not level_ids:
         raise ParameterError("empty level range")
@@ -187,7 +246,7 @@ def gen_kadic(k: int, levels, M: int, T: float) -> PartitionSequence:
         if k == 2:
             if n > M:
                 raise ResolutionError(f"dyadic level {n} exceeds master level {M}")
-            idx = np.arange((1 << n) + 1, dtype=np.int64) * (1 << (M - n))
+            idx = range(0, (1 << M) + 1, 1 << (M - n))
         else:
             cells = k**n
             if (1 << M) < 4 * cells:
@@ -266,6 +325,7 @@ def gen_random_balanced(
     """
     if c_target < 1.0:
         raise ParameterError(f"c_target must be >= 1, got {c_target}")
+    check_master_level(M)
     level_ids = [int(n) for n in levels]
     if not level_ids:
         raise ParameterError("empty level range")

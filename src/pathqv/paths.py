@@ -135,9 +135,14 @@ def master_index_of(times, master_level: int, horizon: float) -> np.ndarray:
     return idx.astype(np.int64)
 
 
-def _check_gen_args(seed, M, T):
+def check_master_level(M) -> None:
+    """Refuse a master level outside 4..MAX_LEVEL before it reaches a shift."""
     if not isinstance(M, (int, np.integer)) or not 4 <= M <= MAX_LEVEL:
         raise ParameterError(f"master level must be an integer in 4..{MAX_LEVEL}, got {M}")
+
+
+def _check_gen_args(seed, M, T):
+    check_master_level(M)
     if not (T > 0 and math.isfinite(T)):
         raise ParameterError(f"horizon must be positive, got {T}")
     if seed < 0:

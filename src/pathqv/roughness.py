@@ -56,9 +56,16 @@ def grouping(coarse: Partition, fine: Partition) -> GroupingIndex:
     below the coarse min step is sufficient).
     """
     _require_same_grid(coarse, fine)
-    if coarse.indices[0] != fine.indices[0] or coarse.indices[-1] != fine.indices[-1]:
+    start = fine.first_index
+    if coarse.first_index != start or coarse.last_index != fine.last_index:
         raise ParameterError("coarse and fine partitions must span the same interval")
-    p_ext = np.searchsorted(fine.indices, coarse.indices, side="right")
+    stride = fine.uniform_stride
+    if stride:
+        # fine points at or before each coarse point, what
+        # searchsorted(fine.indices, coarse.indices, side="right") returns
+        p_ext = (coarse.indices - start) // stride + 1
+    else:
+        p_ext = np.searchsorted(fine.indices, coarse.indices, side="right")
     if np.any(np.diff(p_ext) < 1):
         empty = int(np.argmax(np.diff(p_ext) < 1))
         raise GroupingError(
@@ -67,8 +74,8 @@ def grouping(coarse: Partition, fine: Partition) -> GroupingIndex:
         )
     p = p_ext[:-1]
     # sandwich s_{p[k]-1} <= t_k < s_{p[k]}, exact on integer indices
-    assert np.all(fine.indices[p - 1] <= coarse.indices[:-1])
-    assert np.all(coarse.indices[:-1] < fine.indices[p])
+    assert np.all(fine.indices_at(p - 1) <= coarse.indices[:-1])
+    assert np.all(coarse.indices[:-1] < fine.indices_at(p))
     return GroupingIndex(p=p, cell_points=np.diff(p_ext), n_fine=fine.n_intervals)
 
 
@@ -93,7 +100,7 @@ class RoughnessStat:
 
 def cell_partition(fine: Partition, gi: GroupingIndex) -> Partition:
     """The coarse-through-fine partition made of the cell boundary points."""
-    return Partition(fine.indices[gi.boundaries], fine.master_level, fine.horizon)
+    return Partition(fine.indices_at(gi.boundaries), fine.master_level, fine.horizon)
 
 
 def roughness_statistic(
@@ -115,20 +122,23 @@ def roughness_statistic(
     gi = grouping(coarse, fine)
     b = gi.boundaries
     x = path.samples
-    fidx = fine.indices
+    first, last = fine.first_index, fine.last_index
     if t is not None:
         e = int(master_index_of([t], path.master_level, path.horizon)[0])
     else:
-        e = int(fidx[-1])
+        e = last
 
     # production path: per-cell identity on increments truncated at t
     stride = fine.uniform_stride
-    if t is None and stride and fidx[0] == 0 and fidx[-1] == (1 << path.master_level):
-        xf = x[::stride]                                             # view, no gather
+    if stride:
+        xf = x[first:last + 1:stride]                                # view, no gather
+        if e < last:
+            xf = xf.copy()
+            xf[max((e - first) // stride + 1, 0):] = x[e]            # x at min(index, e)
     elif t is None:
-        xf = x[fidx]
+        xf = x[fine.indices]
     else:
-        xf = x[np.minimum(fidx, e)]
+        xf = x[np.minimum(fine.indices, e)]
     dxf = np.diff(xf, axis=0)                                        # (F, d)
     if path.dim == 1:
         q = dxf[:, 0]
@@ -152,7 +162,7 @@ def roughness_statistic(
             f"decomposition {s_qv:g} beyond rounding"
         )
 
-    bound = x[coarse.indices[:-1]] - x[fidx[b[:-1]]]
+    bound = x[coarse.indices[:-1]] - x[fine.indices_at(b[:-1])]
     bnorm = np.linalg.norm(bound, axis=1)
 
     prof_t = prof = None

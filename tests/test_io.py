@@ -76,6 +76,13 @@ class TestCsv:
             assert np.array_equal(a.indices, b.indices)
         assert sidecar.exists()
 
+    @pytest.mark.parametrize("row", ["3,abc", "3,0,1", "3", "", "x,5"])
+    def test_partition_csv_malformed_row_names_file_and_line(self, tmp_path, row):
+        csvf = tmp_path / "part.csv"
+        csvf.write_text(f"level,index\n3,0\n{row}\n3,1024\n")
+        with pytest.raises(pq.ParameterError, match=r"part\.csv, line 3: expected 'level,index'"):
+            pio.read_partition_csv(str(csvf), 10, 1.0)
+
     def test_qv_csv_column_order_and_roundtrip(self, tmp_path):
         w = pq.gen_brownian(1, 8, 1.0, 2)
         part = pq.gen_dyadic([4], 8, 1.0).level(4)

@@ -40,6 +40,89 @@ class TestKadic:
             pq.gen_kadic(1, [2], 8, 1.0)
 
 
+class TestMasterLevelRange:
+    # before the check, gen_dyadic([2], 64, 1.0) wrapped int64 to a last index
+    # of -2^63, Partition(..., -1, 1.0) raised a bare "negative shift count",
+    # and gen_random_balanced at M = 64 warned and then raised OverflowError
+    @pytest.mark.parametrize("M", [-1, 3, 31, 64])
+    @pytest.mark.parametrize("build", [
+        lambda M: pq.Partition(np.array([0, 1, 2]), M, 1.0),
+        lambda M: pq.gen_dyadic([2], M, 1.0),
+        lambda M: pq.gen_kadic(3, [1], M, 1.0),
+        lambda M: pq.gen_random_balanced(1, [2], M, 1.0, 2.0),
+    ], ids=["partition", "dyadic", "triadic", "random_balanced"])
+    def test_refused_outside_the_path_range(self, build, M):
+        with pytest.raises(pq.ParameterError,
+                           match=rf"master level must be an integer in 4\.\.30, got {M}$"):
+            build(M)
+
+    def test_bounds_are_accepted(self):
+        assert pq.gen_dyadic([4], 4, 1.0).level(4).n_intervals == 16
+        top = pq.gen_dyadic([0, 30], 30, 1.0)
+        assert top.level(30).n_intervals == 1 << 30 and top.level(30).mesh == 2.0**-30
+
+
+class TestLazyDyadic:
+    """Dyadic levels are held as ranges; they must read as the old arrays."""
+
+    SCALARS = ("n_intervals", "mesh", "min_step", "ratio", "uniform_stride", "span")
+
+    @pytest.mark.parametrize("M", [4, 14, 23])
+    def test_matches_the_array_form(self, M):
+        for n in range(M + 1):
+            expected = np.arange((1 << n) + 1, dtype=np.int64) * (1 << (M - n))
+            lazy = pq.gen_dyadic([n], M, 1.0).level(n)
+            eager = pq.Partition(expected, M, 1.0)
+            for name in self.SCALARS:
+                a, b = getattr(lazy, name), getattr(eager, name)
+                assert type(a) is type(b) and a == b, (n, name)
+            assert lazy.spans_full_horizon() and eager.spans_full_horizon()
+            assert "indices" not in vars(lazy)      # answered without the array
+            idx = lazy.indices
+            assert idx.dtype == np.int64 and not idx.flags.writeable
+            assert np.array_equal(idx, expected)    # int64 values equal: bytes equal
+            assert lazy.indices is idx              # cached after the first read
+            del lazy, eager, idx
+            for name in ("index_steps", "times"):   # fresh objects keep 2^23 peaks small
+                a = getattr(pq.gen_dyadic([n], M, 1.0).level(n), name)
+                b = getattr(pq.Partition(expected, M, 1.0), name)
+                assert a.dtype == b.dtype and not a.flags.writeable
+                assert np.array_equal(a, b), (n, name)
+                del a, b
+
+    def test_array_and_range_agree_off_the_full_horizon(self):
+        lazy = pq.Partition(range(48, 977, 16), 10, 2.0)
+        eager = pq.Partition(np.arange(48, 977, 16), 10, 2.0)
+        for name in self.SCALARS:
+            assert getattr(lazy, name) == getattr(eager, name), name
+        assert not lazy.spans_full_horizon() and not eager.spans_full_horizon()
+        assert lazy.first_index == eager.first_index == 48
+        assert lazy.last_index == eager.last_index == 976
+        pos = np.array([0, 3, 58])
+        assert np.array_equal(lazy.indices_at(pos), eager.indices_at(pos))
+        assert "indices" not in vars(lazy)
+
+    @pytest.mark.parametrize("pts, msg", [
+        (range(16, 0, -4), "strictly increasing"),
+        (range(16, -1, -1), "strictly increasing"),
+        (range(0, 16, -4), "at least 2 indices"),
+        (range(0, 1), "at least 2 indices"),
+        (range(0, 0), "at least 2 indices"),
+        (range(0, 21, 4), "outside the master grid"),
+        (range(-4, 17, 4), "outside the master grid"),
+    ])
+    def test_malformed_range_refused(self, pts, msg):
+        with pytest.raises(pq.ParameterError, match=msg):
+            pq.Partition(pts, 4, 1.0)
+
+    def test_frozen(self):
+        p = pq.gen_dyadic([3], 6, 1.0).level(3)
+        with pytest.raises(AttributeError):
+            p.master_level = 7
+        with pytest.raises(AttributeError):
+            p.indices = np.arange(3)
+
+
 class TestLebesgue:
     def test_constant_path_degenerates(self):
         p = pq.gen_deterministic("constant", {"c": 2.0}, 8, 1.0)

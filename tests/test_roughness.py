@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -120,6 +122,54 @@ class TestGrouping:
         fine = pq.gen_dyadic([3], M, 1.0).level(3)
         with pytest.raises(pq.GroupingError):
             pq.grouping(coarse, fine)
+
+
+@given(st.data())
+@settings(max_examples=40)
+def test_arithmetic_grouping_matches_searchsorted(data):
+    """On dyadic fine levels grouping counts points by arithmetic, not search."""
+    M = data.draw(st.integers(4, 9))
+    coarse = data.draw(strat.partitions_on(M, max_interior=20))
+    for n in range(M + 1):
+        fine = pq.gen_dyadic([n], M, 1.0).level(n)
+        try:
+            gi = pq.grouping(coarse, fine)
+        except pq.GroupingError as exc:
+            gi, err = None, str(exc)
+        assert "indices" not in vars(fine)
+        p_ext = np.searchsorted(fine.indices, coarse.indices, side="right")
+        empty = np.flatnonzero(np.diff(p_ext) < 1)
+        if empty.size:
+            assert gi is None and err.startswith(f"coarse cell {empty[0]} contains no fine point")
+        else:
+            assert np.array_equal(gi.p, p_ext[:-1])
+            assert np.array_equal(gi.cell_points, np.diff(p_ext))
+
+
+class TestLazyReference:
+    def test_m23_reference_and_selection_allocate_no_level_arrays(self):
+        rb = pq.gen_random_balanced(7, range(6, 13), 23, 1.0, 3.0)
+        tracemalloc.start()
+        try:
+            ref = pq.gen_dyadic(range(6, 24), 23, 1.0)
+            sel = pq.select_dyadic_subsequence(rb, 0.5, ref)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert sel.l == (11, 13, 15, 17, 19, 21, 23)
+        assert peak < 1 << 20       # the level arrays alone would be 128 MiB
+
+    @pytest.mark.parametrize("t", [None, 0.5])
+    def test_statistic_leaves_the_fine_level_unbuilt(self, t):
+        M = 16
+        w = pq.gen_brownian(5, M, 1.0, 2)
+        coarse = pq.gen_random_balanced(7, [6], M, 1.0, 3.0).level(6)
+        fine = pq.gen_dyadic([13], M, 1.0).level(13)
+        eager = pq.Partition(np.arange((1 << 13) + 1, dtype=np.int64) << 3, M, 1.0)
+        got = pq.roughness_statistic(w, coarse, fine, t=t)
+        assert "indices" not in vars(fine)
+        want = pq.roughness_statistic(w, coarse, eager, t=t)
+        assert got == want
 
 
 class TestRoughnessStatistic:
