@@ -1,0 +1,141 @@
+"""Print one SHA-256 per kernel family over a fixed input matrix.
+
+A change that must keep every output byte for byte runs this script on the
+parent commit and on the change and compares the lines:
+
+    PYTHONPATH=src python scripts/kernel_digest.py
+
+The matrix: master levels M = 8, 11, 14; Brownian, mixed (H = 0.75) and fBm
+(H = 0.3) paths, plus a 3-d Brownian path for the matrix QV; dyadic and
+random balanced sequences and both stopped to [0.3, 0.7]; the default
+evaluation grid, [0.5, 1.0] and random on-grid times; every catalogue
+function, `square` (f1(x(0)) = 0 on paths from 0) included.  Invariance checks take a balance
+threshold of 64, so the stopped random balanced sequence, whose end cells
+are cut short, is compared too.  Each digest hashes the dtype, shape
+and bytes of every output array and the repr of every other field, so a
+flipped signed zero changes it.  A library error is hashed by class and
+message, and the run goes on.  Stdlib plus numpy.
+"""
+
+from __future__ import annotations
+
+import hashlib
+import sys
+from dataclasses import fields, is_dataclass
+
+import numpy as np
+
+import pathqv as pq
+from pathqv.calculus import default_u_grid
+
+FAMILIES = ("qv", "invariance", "roughness", "localtime", "ito", "isometry")
+FUNCTIONS = ("square", "cubic", "sin", "exp", "identity", "abs_smooth")
+
+
+def _feed(h, obj) -> None:
+    if isinstance(obj, np.ndarray):
+        h.update(f"{obj.dtype.str}{obj.shape}".encode())
+        h.update(np.ascontiguousarray(obj).tobytes())
+    elif is_dataclass(obj):
+        h.update(type(obj).__name__.encode())
+        for f in fields(obj):
+            _feed(h, getattr(obj, f.name))
+    elif isinstance(obj, (tuple, list)):
+        h.update(f"[{len(obj)}".encode())
+        for item in obj:
+            _feed(h, item)
+    elif isinstance(obj, (float, np.floating)):
+        h.update(np.float64(obj).tobytes())
+    else:
+        h.update(repr(obj).encode())
+
+
+def _record(h, fn, *args, **kwargs) -> None:
+    """Hash fn(*args, **kwargs), or the library error it raises."""
+    try:
+        out = fn(*args, **kwargs)
+    except pq.PQVError as exc:
+        out = (type(exc).__name__, str(exc))
+    _feed(h, out)
+
+
+def _paths(M: int) -> list:
+    return [pq.gen_brownian(M, M, 1.0), pq.gen_mixed(M, M, 1.0, 0.75, 0.5),
+            pq.gen_fbm(M, M, 1.0, 0.3)]
+
+
+def _sequences(M: int) -> list:
+    levels = range(max(2, M - 6), M - 2)
+    dyadic = pq.gen_dyadic(levels, M, 1.0)
+    balanced = pq.gen_random_balanced(7, levels, M, 1.0, 3.0)
+    return [dyadic, balanced,
+            pq.stop_partition(dyadic, (0.3, 0.7)), pq.stop_partition(balanced, (0.3, 0.7))]
+
+
+def _eval_grids(M: int) -> list:
+    rng = np.random.default_rng(M)
+    on_grid = np.sort(rng.integers(0, (1 << M) + 1, 16)) / (1 << M)
+    return [None, [0.5, 1.0], on_grid]
+
+
+def digests(levels=(8, 11, 14)) -> dict:
+    """SHA-256 hex digest per kernel family over the matrix at the given M."""
+    hs = {name: hashlib.sha256() for name in FAMILIES}
+    fns = [pq.function_catalogue(name) for name in FUNCTIONS]
+    for M in levels:
+        paths, seqs, grids = _paths(M), _sequences(M), _eval_grids(M)
+        w3 = pq.gen_brownian(M + 1, M, 1.0, d=3)
+        fine = pq.gen_dyadic([M - 1], M, 1.0)
+        fine_of = [fine, fine, pq.stop_partition(fine, (0.3, 0.7)),
+                   pq.stop_partition(fine, (0.3, 0.7))]
+        for grid in grids:
+            for seq in seqs:
+                for part in seq:
+                    for path in paths:
+                        _record(hs["qv"], pq.qv_level, path, part, grid)
+                    _record(hs["qv"], pq.qv_level, w3, part, grid)
+                    _record(hs["qv"], pq.qv_matrix, w3, part, grid)
+                for path in paths + [w3]:
+                    _record(hs["qv"], pq.qv_limit_diagnostic, path, seq, grid)
+            for a, b in ((0, 1), (1, 0), (2, 3), (0, 2)):
+                for path in paths + [w3]:
+                    _record(hs["invariance"], pq.invariance_check, path, seqs[a], seqs[b],
+                            grid, balance_threshold=64.0)
+        for path in paths:
+            for seq, ref in zip(seqs, fine_of):
+                for coarse in seq:
+                    for t in (None, 0.5):
+                        for grid in grids[1:]:
+                            _record(hs["roughness"], pq.roughness_statistic, path, coarse,
+                                    ref.partitions[0], t, grid)
+                u = default_u_grid(path, n_u=256)
+                for part in seq:
+                    for grid in grids:
+                        field = pq.local_time_discrete(path, part, grid, u)
+                        _feed(hs["localtime"], field)
+                        _record(hs["localtime"], pq.occupation_check, field, path, part,
+                                [(u[32], u[128]), (u[128], u[224])])
+                qv = pq.qv_level(path, seq.partitions[-1])
+                for fn in fns:
+                    for grid in grids:
+                        for curve in (None, qv):
+                            _record(hs["ito"], pq.ito_residual, path, fn, seq, curve, grid)
+                            _record(hs["isometry"], pq.isometry_check, path, fn, seq, curve,
+                                    grid)
+                    _record(hs["ito"], pq.follmer_integral, path, fn.f1,
+                            seq.partitions[-1], 0.5)
+    return {name: h.hexdigest() for name, h in hs.items()}
+
+
+def format_digests(digests_by_family: dict) -> str:
+    """One line per family: its name, then its digest."""
+    return "\n".join(f"{name:<11}{digest}" for name, digest in digests_by_family.items())
+
+
+def main() -> int:
+    print(format_digests(digests()))
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())

@@ -161,6 +161,12 @@ class Partition:
         return lo if lo == hi else 0
 
     @property
+    def range_stride(self) -> int:
+        """Index step when the indices are held as a range, else 0; reads no array."""
+        r = self._points
+        return r.step if isinstance(r, range) else 0
+
+    @property
     def span(self) -> float:
         return float((self.last_index - self.first_index) * self.master_step)
 

@@ -199,7 +199,7 @@ def _fgn_circulant(rng: np.random.Generator, n: int, H: float):
     z.real = draw
     z.imag = rng.standard_normal(out=draw)
     z *= scale
-    return np.fft.fft(z).real[:n]
+    return np.fft.fft(z, out=z).real[:n]
 
 
 def _fgn_cholesky(rng: np.random.Generator, n: int, H: float):

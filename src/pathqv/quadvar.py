@@ -73,22 +73,40 @@ class QVCurve:
 
 
 def _qv_values(path: SampledPath, part: Partition, eval_idx: np.ndarray) -> np.ndarray:
-    """Exact truncated-increment QV at the given master indices."""
+    """Exact truncated-increment QV at the given master indices.
+
+    A level held as a range (every dyadic level) is read as a strided view of
+    the samples and each evaluation index finds its interval k by arithmetic;
+    an array level is gathered once and searched, without first testing its
+    steps for uniformity.  Both agree with
+    ``searchsorted(indices, eval_idx, side="right") - 1``: k is negative
+    before the first point and N from the last point on, so the sums are the
+    same floating-point operations in the same order.
+    """
     x = path.samples
-    pidx = part.indices
-    dx = x[pidx[1:]] - x[pidx[:-1]]                     # (N, d)
+    first, stride, n_int = part.first_index, part.range_stride, part.n_intervals
+    if stride:
+        xp = x[first:part.last_index + 1:stride]        # (N + 1, d) view
+        k = np.minimum((eval_idx - first) // stride, n_int)
+    else:
+        pidx = part.indices
+        xp = x[pidx]
+        k = np.searchsorted(pidx, eval_idx, side="right") - 1
+    dx = xp[1:] - xp[:-1]                               # (N, d)
     d = path.dim
     if d == 1:
-        sq = dx[:, 0] ** 2
-        cum = np.concatenate([[0.0], np.cumsum(sq)])
+        sq = dx[:, 0]
+        np.square(sq, out=sq)
+        cum = np.empty(n_int + 1)
+        cum[0] = 0.0
+        np.cumsum(sq, out=cum[1:])
     else:
         sq = dx[:, :, None] * dx[:, None, :]            # (N, d, d)
         cum = np.concatenate([np.zeros((1, d, d)), np.cumsum(sq, axis=0)])
-    k = np.searchsorted(pidx, eval_idx, side="right") - 1
-    inside = (k >= 0) & (k < len(pidx) - 1)
+    inside = (k >= 0) & (k < n_int)
     kin = np.where(inside, k, 0)
-    straddle = np.where(inside[:, None], x[eval_idx] - x[pidx[kin]], 0.0)
-    base = np.where(k < 0, 0, np.where(inside, kin, len(pidx) - 1))
+    straddle = np.where(inside[:, None], x[eval_idx] - xp[kin], 0.0)
+    base = np.maximum(k, 0)
     if d == 1:
         vals = cum[base] + straddle[:, 0] ** 2
     else:
@@ -223,10 +241,14 @@ def invariance_check(
             f"no level of B has mesh within x{mesh_match_cap:g} of any level of A"
         )
     eval_idx = _resolve_eval(path, None, eval_times)
-    sup = []
+    # pairs follow A's levels; with both sequences ordered by mesh, a B level
+    # serving two pairs serves adjacent ones, so holding the last B curve
+    # computes each level once while only two curves are alive at a time
+    sup, nb_held, cb = [], None, None
     for (na, nb) in pairs:
         ca = _qv_values(path, seq_a.level(na), eval_idx)
-        cb = _qv_values(path, seq_b.level(nb), eval_idx)
+        if nb != nb_held:
+            nb_held, cb = nb, _qv_values(path, seq_b.level(nb), eval_idx)
         diff = np.abs(ca - cb)
         sup.append(diff.reshape(len(eval_idx), -1).max() if diff.ndim > 1 else diff.max())
     sup = np.asarray(sup)

@@ -100,6 +100,7 @@ class TestLazyDyadic:
         assert lazy.last_index == eager.last_index == 976
         pos = np.array([0, 3, 58])
         assert np.array_equal(lazy.indices_at(pos), eager.indices_at(pos))
+        assert lazy.range_stride == 16 and eager.range_stride == 0
         assert "indices" not in vars(lazy)
 
     @pytest.mark.parametrize("pts, msg", [

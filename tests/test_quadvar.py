@@ -72,6 +72,96 @@ def test_polarisation_matches_direct_cross_sum(path, data):
     assert np.allclose(curve.values, direct, rtol=1e-9, atol=1e-12)
 
 
+def _qv_values_oracle(path, part, eval_idx):
+    """The gather-and-searchsorted QV kernel, kept as the oracle of _qv_values."""
+    x = path.samples
+    pidx = part.indices
+    dx = x[pidx[1:]] - x[pidx[:-1]]                     # (N, d)
+    d = path.dim
+    if d == 1:
+        sq = dx[:, 0] ** 2
+        cum = np.concatenate([[0.0], np.cumsum(sq)])
+    else:
+        sq = dx[:, :, None] * dx[:, None, :]            # (N, d, d)
+        cum = np.concatenate([np.zeros((1, d, d)), np.cumsum(sq, axis=0)])
+    k = np.searchsorted(pidx, eval_idx, side="right") - 1
+    inside = (k >= 0) & (k < len(pidx) - 1)
+    kin = np.where(inside, k, 0)
+    straddle = np.where(inside[:, None], x[eval_idx] - x[pidx[kin]], 0.0)
+    base = np.where(k < 0, 0, np.where(inside, kin, len(pidx) - 1))
+    if d == 1:
+        vals = cum[base] + straddle[:, 0] ** 2
+    else:
+        vals = cum[base] + straddle[:, :, None] * straddle[:, None, :]
+    return vals
+
+
+class TestQvKernelOracle:
+    """_qv_values keeps the oracle's bytes, signed zeros included."""
+
+    M = 10
+
+    def _partitions(self):
+        M = self.M
+        dyadic = pq.gen_dyadic([1, 4, 7, M], M, 1.0)
+        balanced = pq.gen_random_balanced(5, [3, M - 2], M, 1.0, 3.0)
+        return [
+            *dyadic,                                             # ranges
+            *pq.gen_kadic(3, [2, 4], M, 1.0),                    # 3-adic, snapped
+            *balanced,
+            pq.Partition(dyadic.level(4).indices[1:-1], M, 1.0),  # stopped, uniform
+            pq.Partition(range(64, 961, 64), M, 1.0),            # stopped range
+            pq.Partition(balanced.level(3).indices[1:-1], M, 1.0),
+            *pq.stop_partition(pq.gen_dyadic([5], M, 1.0), (0.3, 0.7)),
+        ]
+
+    def _eval_grids(self):
+        rng = np.random.default_rng(11)
+        on_grid = rng.integers(0, (1 << self.M) + 1, 24) / (1 << self.M)
+        return [None, [0.5, 1.0], on_grid, [0.0]]
+
+    @pytest.mark.parametrize("make_path", [
+        lambda M: pq.gen_brownian(0, M, 1.0),
+        lambda M: pq.gen_brownian(1, M, 1.0),
+        lambda M: pq.gen_brownian(2, M, 1.0, 3),
+        lambda M: pq.gen_deterministic("constant", {"c": 0.0}, M, 1.0),
+        lambda M: pq.gen_deterministic("constant", {"c": 5.0}, M, 1.0),
+        lambda M: pq.gen_deterministic("linear", {"slope": -1.5}, M, 1.0),
+    ], ids=["bm-0", "bm-1", "bm-3d", "zero", "constant", "linear"])
+    def test_matches_oracle_bytes(self, make_path):
+        path = make_path(self.M)
+        samples = path.samples.tobytes()
+        for part in self._partitions():
+            for times in self._eval_grids():
+                if times is None:
+                    eval_idx = pq.quadvar.default_eval_indices(path, part)
+                else:
+                    eval_idx = pq.quadvar._resolve_eval(path, None, times)
+                got = pq.quadvar._qv_values(path, part, eval_idx)
+                want = _qv_values_oracle(path, part, eval_idx)
+                assert got.dtype == want.dtype and got.shape == want.shape
+                assert got.tobytes() == want.tobytes(), (part, times)
+        assert path.samples.tobytes() == samples    # strided views are only read
+
+
+@given(st.integers(4, 9), st.data())
+def test_uniform_interval_lookup_matches_searchsorted(M, data):
+    # any partition held as a range, stopped or not, against unsorted eval
+    # indices before, inside and after it
+    full = 1 << M
+    stride = data.draw(st.integers(1, full))
+    first = data.draw(st.integers(0, full - stride))
+    count = data.draw(st.integers(1, (full - first) // stride))
+    part = pq.Partition(range(first, first + stride * count + 1, stride), M, 1.0)
+    assert part.range_stride == stride
+    eval_idx = np.array(data.draw(st.lists(st.integers(0, full), min_size=1, max_size=20)),
+                        dtype=np.int64)
+    path = pq.gen_brownian(data.draw(st.integers(0, 2**32 - 1)), M, 1.0,
+                           data.draw(st.sampled_from([1, 2])))
+    got = pq.quadvar._qv_values(path, part, eval_idx)
+    assert got.tobytes() == _qv_values_oracle(path, part, eval_idx).tobytes()
+
+
 class TestQvMatrix:
     def test_duplicated_component_all_entries_equal(self):
         w = pq.gen_brownian(2, 10, 1.0)
@@ -239,6 +329,28 @@ class TestInvariance:
         b = pq.gen_dyadic([10, 11], 12, 1.0)
         with pytest.raises(pq.PairingError):
             pq.invariance_check(w, a, b)
+
+    def test_each_level_computed_once(self, monkeypatch):
+        w = pq.gen_brownian(3, 12, 1.0)
+        a = pq.gen_dyadic(range(4, 11), 12, 1.0)
+        b = pq.gen_random_balanced(7, range(4, 11), 12, 1.0, 3.0)
+        kernel = pq.quadvar._qv_values
+        calls = []
+
+        def counting(path, part, eval_idx):
+            calls.append(part)
+            return kernel(path, part, eval_idx)
+
+        monkeypatch.setattr(pq.quadvar, "_qv_values", counting)
+        rep = pq.invariance_check(w, a, b)
+        levels = {("a", na) for na, _ in rep.pairs} | {("b", nb) for _, nb in rep.pairs}
+        assert len(levels) < 2 * len(rep.pairs)     # some level serves two pairs
+        assert len(calls) == len(levels)
+        eval_idx = pq.quadvar._resolve_eval(w, None, None)
+        per_pair = [np.abs(kernel(w, a.level(na), eval_idx)
+                           - kernel(w, b.level(nb), eval_idx)).max()
+                    for na, nb in rep.pairs]
+        assert rep.sup_distances.tobytes() == np.asarray(per_pair).tobytes()
 
     def test_brownian_dyadic_vs_balanced_smoke(self):
         a = pq.gen_dyadic([10], 12, 1.0)
