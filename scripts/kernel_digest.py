@@ -4,6 +4,11 @@ A change that must keep every output byte for byte runs this script on the
 parent commit and on the change and compares the lines:
 
     PYTHONPATH=src python scripts/kernel_digest.py
+    PYTHONPATH=<parent checkout>/src python scripts/kernel_digest.py
+
+The script imports only ``pathqv``, so the second line hashes the parent's
+kernels and writers over this script's matrix, even where the parent's own
+copy of the script knows fewer families.
 
 The matrix: master levels M = 8, 11, 14; Brownian, mixed (H = 0.75) and fBm
 (H = 0.3) paths, plus a 3-d Brownian path for the matrix QV; dyadic and
@@ -14,21 +19,27 @@ threshold of 64, so the stopped random balanced sequence, whose end cells
 are cut short, is compared too.  Each digest hashes the dtype, shape
 and bytes of every output array and the repr of every other field, so a
 flipped signed zero changes it.  A library error is hashed by class and
-message, and the run goes on.  Stdlib plus numpy.
+message, and the run goes on.  The ``io`` family hashes the exact text of
+every CSV writer, each written to a ``StringIO``: the QV CSV of each
+sequence's ``qv_level`` curves per path and of its 3-d ``qv_matrix`` curves,
+and the path, local-time, residual, roughness and partition CSVs of the
+matrix's outputs.  Stdlib plus numpy.
 """
 
 from __future__ import annotations
 
 import hashlib
+import io
 import sys
 from dataclasses import fields, is_dataclass
 
 import numpy as np
 
 import pathqv as pq
+from pathqv import io as pio
 from pathqv.calculus import default_u_grid
 
-FAMILIES = ("qv", "invariance", "roughness", "localtime", "ito", "isometry")
+FAMILIES = ("qv", "invariance", "roughness", "localtime", "ito", "isometry", "io")
 FUNCTIONS = ("square", "cubic", "sin", "exp", "identity", "abs_smooth")
 
 
@@ -50,13 +61,22 @@ def _feed(h, obj) -> None:
         h.update(repr(obj).encode())
 
 
-def _record(h, fn, *args, **kwargs) -> None:
-    """Hash fn(*args, **kwargs), or the library error it raises."""
+def _record(h, fn, *args, **kwargs):
+    """Hash fn(*args, **kwargs) and return it, or hash the library error it raises."""
     try:
         out = fn(*args, **kwargs)
     except pq.PQVError as exc:
-        out = (type(exc).__name__, str(exc))
+        _feed(h, (type(exc).__name__, str(exc)))
+        return None
     _feed(h, out)
+    return out
+
+
+def _text(h, writer, obj) -> None:
+    """Hash the text that writer(obj, stream) writes."""
+    buf = io.StringIO()
+    writer(obj, buf)
+    h.update(buf.getvalue().encode())
 
 
 def _paths(M: int) -> list:
@@ -88,13 +108,21 @@ def digests(levels=(8, 11, 14)) -> dict:
         fine = pq.gen_dyadic([M - 1], M, 1.0)
         fine_of = [fine, fine, pq.stop_partition(fine, (0.3, 0.7)),
                    pq.stop_partition(fine, (0.3, 0.7))]
+        for path in paths + [w3]:
+            _text(hs["io"], pio.write_path_csv, path)
+        for seq in seqs:
+            _text(hs["io"], pio.write_partition_csv, seq)
         for grid in grids:
             for seq in seqs:
-                for part in seq:
-                    for path in paths:
-                        _record(hs["qv"], pq.qv_level, path, part, grid)
-                    _record(hs["qv"], pq.qv_level, w3, part, grid)
-                    _record(hs["qv"], pq.qv_matrix, w3, part, grid)
+                # per path its qv_level curves, then the qv_matrix curves of w3
+                tables = [[] for _ in range(len(paths) + 2)]
+                for n, part in zip(seq.level_ids, seq):
+                    for path, table in zip(paths + [w3], tables):
+                        table.append((n, _record(hs["qv"], pq.qv_level, path, part, grid)))
+                    tables[-1].append((n, _record(hs["qv"], pq.qv_matrix, w3, part, grid)))
+                for table in tables:
+                    _text(hs["io"], pio.write_qv_csv,
+                          [(n, curve) for n, curve in table if curve is not None])
                 for path in paths + [w3]:
                     _record(hs["qv"], pq.qv_limit_diagnostic, path, seq, grid)
             for a, b in ((0, 1), (1, 0), (2, 3), (0, 2)):
@@ -103,23 +131,31 @@ def digests(levels=(8, 11, 14)) -> dict:
                             grid, balance_threshold=64.0)
         for path in paths:
             for seq, ref in zip(seqs, fine_of):
-                for coarse in seq:
+                records = []
+                for n, coarse in zip(seq.level_ids, seq):
                     for t in (None, 0.5):
                         for grid in grids[1:]:
-                            _record(hs["roughness"], pq.roughness_statistic, path, coarse,
-                                    ref.partitions[0], t, grid)
+                            stat = _record(hs["roughness"], pq.roughness_statistic, path,
+                                           coarse, ref.partitions[0], t, grid)
+                            if stat is not None:
+                                records.append((n, path.meta.seed, stat))
+                _text(hs["io"], pio.write_roughness_csv, records)
                 u = default_u_grid(path, n_u=256)
                 for part in seq:
                     for grid in grids:
                         field = pq.local_time_discrete(path, part, grid, u)
                         _feed(hs["localtime"], field)
+                        _text(hs["io"], pio.write_localtime_csv, field)
                         _record(hs["localtime"], pq.occupation_check, field, path, part,
                                 [(u[32], u[128]), (u[128], u[224])])
                 qv = pq.qv_level(path, seq.partitions[-1])
                 for fn in fns:
                     for grid in grids:
                         for curve in (None, qv):
-                            _record(hs["ito"], pq.ito_residual, path, fn, seq, curve, grid)
+                            residual = _record(hs["ito"], pq.ito_residual, path, fn, seq,
+                                               curve, grid)
+                            if residual is not None:
+                                _text(hs["io"], pio.write_residual_csv, residual)
                             _record(hs["isometry"], pq.isometry_check, path, fn, seq, curve,
                                     grid)
                     _record(hs["ito"], pq.follmer_integral, path, fn.f1,

@@ -31,7 +31,7 @@ def fmt_float(v: float) -> str:
     return f"{v:.17g}"
 
 
-#: Rows converted with one ``tolist`` and written with one ``join`` at a time.
+#: Rows formatted with one ``%`` and written with one ``write`` at a time.
 _BLOCK_ROWS = 4096
 
 
@@ -50,12 +50,33 @@ def _row_slices(n_rows: int):
     return (slice(lo, lo + _BLOCK_ROWS) for lo in range(0, n_rows, _BLOCK_ROWS))
 
 
+def _fill(row: str, *columns) -> str:
+    """``row`` once per entry along the columns' first axis, filled with one ``%``.
+
+    The columns broadcast to one shape; entry i of each, in turn, fills the
+    fields of copy i of ``row`` (a 2-d shape interleaves the columns along
+    its second axis).  ``"%.17g" % v`` and ``fmt_float(v)`` both call
+    ``PyOS_double_to_string(v, 'g', 17)``, so the text is the same.
+    """
+    shape = np.broadcast_shapes(*(np.shape(c) for c in columns))
+    args = np.empty(shape + (len(columns),), dtype=object)
+    for k, column in enumerate(columns):
+        args[..., k] = column
+    return row * len(args) % tuple(args.ravel())
+
+
+def _fmt_column(values) -> np.ndarray:
+    """fmt_float of each value, for a column repeated across a block."""
+    vals = np.asarray(values).tolist()
+    return np.array(("%.17g\n" * len(vals) % tuple(vals)).split("\n")[:-1], dtype=object)
+
+
 def _write_csv(file, header: str, blocks) -> None:
-    """The header line, then each block of finished lines with a single write."""
+    """The header line, then each block of text with a single write."""
     with _opened(file, "w") as fh:
         fh.write(header)
-        for lines in blocks:
-            fh.write("".join(lines))
+        for text in blocks:
+            fh.write(text)
 
 
 def _read_exact(fh, n: int, what: str) -> bytes:
@@ -117,15 +138,15 @@ def read_path_binary(file) -> SampledPath:
 def write_path_csv(path: SampledPath, file) -> None:
     """Columns t, x1..xd."""
     cols = ",".join(f"x{i + 1}" for i in range(path.dim))
-    blocks = ([fmt_float(t) + "," + ",".join(map(fmt_float, row)) + "\n"
-               for t, row in zip(path.times[s].tolist(), path.samples[s].tolist())]
+    row = "%.17g" + ",%.17g" * path.dim + "\n"
+    blocks = (_fill(row, np.column_stack([path.times[s], path.samples[s]]))
               for s in _row_slices(path.n_points))
     _write_csv(file, f"t,{cols}\n", blocks)
 
 
 def write_partition_csv(seq: PartitionSequence, csv_file, sidecar_file=None) -> None:
     """Columns level, index; JSON sidecar with generator metadata."""
-    blocks = ([f"{n},{i}\n" for i in part.indices[s].tolist()]
+    blocks = (_fill(f"{n},%s\n", part.indices[s])
               for n, part in zip(seq.level_ids, seq) for s in _row_slices(len(part.indices)))
     _write_csv(csv_file, "level,index\n", blocks)
     if sidecar_file is not None:
@@ -166,14 +187,12 @@ def write_qv_csv(curves, file) -> None:
     def blocks():
         for level, curve in curves:
             d = curve.dim
-            pairs = [f",{i + 1},{j + 1}," for i in range(d) for j in range(d)]
-            tail = f",{level}\n"
+            # one eval time: its d * d rows, each filled by (t, value)
+            row = "".join(f"%s,{i + 1},{j + 1},%.17g,{level}\n"
+                          for i in range(d) for j in range(d))
             values = curve.values.reshape(len(curve.values), d * d)
             for s in _row_slices(len(values)):
-                yield [head + pair + fmt_float(v) + tail
-                       for t, row in zip(curve.eval_times[s].tolist(), values[s].tolist())
-                       for head in (fmt_float(t),)
-                       for pair, v in zip(pairs, row)]
+                yield _fill(row, _fmt_column(curve.eval_times[s])[:, None], values[s])
 
     _write_csv(file, "t,i,j,value,level\n", blocks())
 
@@ -208,35 +227,35 @@ def read_qv_csv(file):
 
 def write_localtime_csv(field, file) -> None:
     """Columns t, u, L."""
-    us = [fmt_float(u) + "," for u in np.asarray(field.u_grid).tolist()]
+    us = _fmt_column(field.u_grid)
 
     def blocks():
-        for t, row in zip(np.asarray(field.t_grid).tolist(), field.values):
-            head = fmt_float(t) + ","
+        for t, values in zip(_fmt_column(field.t_grid), field.values):
+            row = f"{t},%s,%.17g\n"
             for s in _row_slices(len(us)):
-                yield [head + u + fmt_float(v) + "\n" for u, v in zip(us[s], row[s].tolist())]
+                yield _fill(row, us[s], values[s])
 
     _write_csv(file, "t,u,L\n", blocks())
 
 
 def write_residual_csv(residual, file) -> None:
     """Columns level, t, residual."""
-    ts = ["," + fmt_float(t) + "," for t in np.asarray(residual.eval_times).tolist()]
+    ts = _fmt_column(residual.eval_times)
 
     def blocks():
-        for level, row in zip(residual.level_ids, residual.residuals):
-            head = f"{level}"
+        for level, values in zip(residual.level_ids, residual.residuals):
+            row = f"{level},%s,%.17g\n"
             for s in _row_slices(len(ts)):
-                yield [head + t + fmt_float(r) + "\n" for t, r in zip(ts[s], row[s].tolist())]
+                yield _fill(row, ts[s], values[s])
 
     _write_csv(file, "level,t,residual\n", blocks())
 
 
 def write_roughness_csv(records, file) -> None:
     """Columns level, seed, S, fine_level, cells."""
-    lines = [f"{level},{seed},{fmt_float(stat.S)},{stat.fine_level},{stat.n_cells}\n"
-             for level, seed, stat in records]
-    _write_csv(file, "level,seed,S,fine_level,cells\n", [lines])
+    text = "".join(f"{level},{seed},{fmt_float(stat.S)},{stat.fine_level},{stat.n_cells}\n"
+                   for level, seed, stat in records)
+    _write_csv(file, "level,seed,S,fine_level,cells\n", [text])
 
 
 def write_json(obj, file) -> None:

@@ -72,46 +72,60 @@ class QVCurve:
         return out
 
 
-def _qv_values(path: SampledPath, part: Partition, eval_idx: np.ndarray) -> np.ndarray:
-    """Exact truncated-increment QV at the given master indices.
+def _level_samples(x: np.ndarray, part: Partition, eval_idx: np.ndarray):
+    """Samples at the partition points and at eval_idx, and each eval index's interval.
 
-    A level held as a range (every dyadic level) is read as a strided view of
-    the samples and each evaluation index finds its interval k by arithmetic;
-    an array level is gathered once and searched, without first testing its
-    steps for uniformity.  Both agree with
+    Returns ``(xp, xe, k)``.  A level held as a range (every dyadic level) is
+    read as a strided view of the samples and each evaluation index finds its
+    interval k by arithmetic; an array level is gathered once and searched,
+    without first testing its steps for uniformity.  Both agree with
     ``searchsorted(indices, eval_idx, side="right") - 1``: k is negative
-    before the first point and N from the last point on, so the sums are the
-    same floating-point operations in the same order.
+    before the first point and N from the last point on.
     """
-    x = path.samples
-    first, stride, n_int = part.first_index, part.range_stride, part.n_intervals
+    first, stride = part.first_index, part.range_stride
     if stride:
         xp = x[first:part.last_index + 1:stride]        # (N + 1, d) view
-        k = np.minimum((eval_idx - first) // stride, n_int)
+        k = np.minimum((eval_idx - first) // stride, part.n_intervals)
     else:
         pidx = part.indices
         xp = x[pidx]
         k = np.searchsorted(pidx, eval_idx, side="right") - 1
-    dx = xp[1:] - xp[:-1]                               # (N, d)
-    d = path.dim
-    if d == 1:
-        sq = dx[:, 0]
-        np.square(sq, out=sq)
+    return xp, x[eval_idx], k
+
+
+def _running_qv(xp: np.ndarray, xe: np.ndarray, k: np.ndarray) -> np.ndarray:
+    """Exact truncated-increment QV from the samples of _level_samples.
+
+    A series (one column or 1-d) gives the scalar curve (n,), d columns the
+    (n, d, d) matrix; either way the sums are the same floating-point
+    operations in the same order, whichever way the samples were read.
+    """
+    if xp.ndim == 2 and xp.shape[1] == 1:
+        xp, xe = xp[:, 0], xe[:, 0]
+    n_int = len(xp) - 1
+    dx = xp[1:] - xp[:-1]                               # (N,) or (N, d)
+    if dx.ndim == 1:
+        np.square(dx, out=dx)
         cum = np.empty(n_int + 1)
         cum[0] = 0.0
-        np.cumsum(sq, out=cum[1:])
+        np.cumsum(dx, out=cum[1:])
     else:
+        d = dx.shape[1]
         sq = dx[:, :, None] * dx[:, None, :]            # (N, d, d)
         cum = np.concatenate([np.zeros((1, d, d)), np.cumsum(sq, axis=0)])
     inside = (k >= 0) & (k < n_int)
     kin = np.where(inside, k, 0)
-    straddle = np.where(inside[:, None], x[eval_idx] - xp[kin], 0.0)
     base = np.maximum(k, 0)
-    if d == 1:
-        vals = cum[base] + straddle[:, 0] ** 2
-    else:
-        vals = cum[base] + straddle[:, :, None] * straddle[:, None, :]
-    return vals
+    if dx.ndim == 1:
+        straddle = np.where(inside, xe - xp[kin], 0.0)
+        return cum[base] + straddle ** 2
+    straddle = np.where(inside[:, None], xe - xp[kin], 0.0)
+    return cum[base] + straddle[:, :, None] * straddle[:, None, :]
+
+
+def _qv_values(path: SampledPath, part: Partition, eval_idx: np.ndarray) -> np.ndarray:
+    """Exact truncated-increment QV at the given master indices."""
+    return _running_qv(*_level_samples(path.samples, part, eval_idx))
 
 
 def qv_level(path: SampledPath, part: Partition, eval_times=None) -> QVCurve:
@@ -133,22 +147,17 @@ def qv_matrix(path: SampledPath, part: Partition, eval_times=None) -> QVCurve:
     _require_same_grid(path, part)
     eval_idx = _resolve_eval(path, part, eval_times)
     d = path.dim
-    x = path.samples
-
-    def scalar_qv(series):
-        p = SampledPath(path.horizon, path.master_level, 1, series[:, None],
-                        path.meta)
-        return _qv_values(p, part, eval_idx)
-
-    comp = [scalar_qv(x[:, i]) for i in range(d)]
+    xp, xe, k = _level_samples(path.samples, part, eval_idx)
+    comp = [_running_qv(xp[:, i], xe[:, i], k) for i in range(d)]
     vals = np.empty((len(eval_idx), d, d))
     for i in range(d):
         vals[:, i, i] = comp[i]
         for j in range(i + 1, d):
-            pol = (scalar_qv(x[:, i] + x[:, j]) - comp[i] - comp[j]) / 2.0
+            pol = (_running_qv(xp[:, i] + xp[:, j], xe[:, i] + xe[:, j], k)
+                   - comp[i] - comp[j]) / 2.0
             vals[:, i, j] = pol
             vals[:, j, i] = pol
-    direct = _qv_values(path, part, eval_idx)
+    direct = _running_qv(xp, xe, k)
     scale = max(float(np.abs(direct).max()), 1.0)
     if not np.allclose(vals, direct, rtol=1e-9, atol=1e-12 * scale):
         raise IdentityCheckError("polarisation does not match the direct cross sum")

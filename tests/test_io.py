@@ -172,7 +172,11 @@ def _same_bytes(writer, ref, obj):
     got, want = _stdio.StringIO(), _stdio.StringIO()
     writer(obj, got)
     ref(obj, want)
-    assert got.getvalue() == want.getvalue()
+    if got.getvalue() != want.getvalue():
+        # the first differing line, not a pytest diff of every line, which takes minutes
+        pairs = zip(got.getvalue().splitlines(), want.getvalue().splitlines())
+        first = next(((k, g, w) for k, (g, w) in enumerate(pairs) if g != w), "line count")
+        pytest.fail(f"writer and per-row reference differ: {first}")
 
 
 _EDGE = np.array([-0.0, 1e300, 2.0**-1074, -1e-300, 1 / 3, 0.1, -2.5, 2.0**53 + 2])
@@ -230,6 +234,22 @@ class TestBatchedWritersMatchPerRow:
         long = pq.ItoResidual((3, 11), np.linspace(0.0, 1.0, n),
                               rng.choice(_EDGE, size=(2, n)), np.zeros(2))
         _same_bytes(pio.write_residual_csv, _ref_write_residual_csv, long)
+
+    @pytest.mark.parametrize("n", [0, 1, pio._BLOCK_ROWS, pio._BLOCK_ROWS + 1])
+    def test_row_count_edges(self, n):
+        # no rows, one row, a full block and one past it, for every template
+        # writer; the repeated column of each is formatted and split, even when empty
+        rng = np.random.default_rng(n)
+        times = rng.choice(_EDGE, size=n)
+        for d in (1, 3):
+            vals = rng.choice(_EDGE, size=(n,) if d == 1 else (n, d, d))
+            _same_bytes(pio.write_qv_csv, _ref_write_qv_csv,
+                        [(np.int64(n), pq.QVCurve(times, vals))])
+        field = pq.LocalTimeField(times, np.array([0.5]), rng.choice(_EDGE, size=(1, n)))
+        _same_bytes(pio.write_localtime_csv, _ref_write_localtime_csv, field)
+        residual = pq.ItoResidual((np.int64(4),), times, rng.choice(_EDGE, size=(1, n)),
+                                  np.zeros(1))
+        _same_bytes(pio.write_residual_csv, _ref_write_residual_csv, residual)
 
     def test_partition_csv(self):
         # level 13 of a 2^14 grid has 8193 indices: two full blocks and one row

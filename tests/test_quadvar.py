@@ -213,6 +213,62 @@ class TestQvMatrix:
             assert eig.min() > -1e-12
 
 
+def _qv_matrix_oracle(path, part, eval_times=None):
+    """qv_matrix with a SampledPath per component and per pair sum, kept as its oracle."""
+    eval_idx = pq.quadvar._resolve_eval(path, part, eval_times)
+    d = path.dim
+    x = path.samples
+
+    def scalar_qv(series):
+        p = pq.SampledPath(path.horizon, path.master_level, 1, series[:, None], path.meta)
+        return _qv_values_oracle(p, part, eval_idx)
+
+    comp = [scalar_qv(x[:, i]) for i in range(d)]
+    vals = np.empty((len(eval_idx), d, d))
+    for i in range(d):
+        vals[:, i, i] = comp[i]
+        for j in range(i + 1, d):
+            pol = (scalar_qv(x[:, i] + x[:, j]) - comp[i] - comp[j]) / 2.0
+            vals[:, i, j] = pol
+            vals[:, j, i] = pol
+    return pq.QVCurve(eval_idx * path.master_step, vals)
+
+
+class TestQvMatrixOracle:
+    """qv_matrix, reading only partition and evaluation samples, keeps the oracle's bytes."""
+
+    M = 10
+
+    def _paths(self, d):
+        w = pq.gen_brownian(20 + d, self.M, 1.0, d)
+        zero = w.samples.copy()
+        zero[:, 1] = 0.0                       # every pair sum with x_1 is x_i + 0
+        neg = w.samples.copy()
+        neg[:, 1] = -neg[:, 0]                 # x_0 + x_1 is a zero everywhere
+        meta = pq.PathMeta("custom")
+        return [w, pq.SampledPath(1.0, self.M, d, zero, meta),
+                pq.SampledPath(1.0, self.M, d, neg, meta)]
+
+    def _partitions(self):
+        dyadic = pq.gen_dyadic([3, 6, 9], self.M, 1.0)
+        balanced = pq.gen_random_balanced(5, [4, 7], self.M, 1.0, 3.0)
+        return [*dyadic, *balanced, *pq.stop_partition(dyadic, (0.3, 0.7)),
+                *pq.stop_partition(balanced, (0.3, 0.7))]
+
+    @pytest.mark.parametrize("d", [2, 3, 4])
+    def test_matches_oracle_bytes(self, d):
+        rng = np.random.default_rng(d)
+        on_grid = rng.integers(0, (1 << self.M) + 1, 24) / (1 << self.M)
+        for path in self._paths(d):
+            for part in self._partitions():
+                for times in (None, [0.5, 1.0], [0.0], on_grid):
+                    got = pq.qv_matrix(path, part, times)
+                    want = _qv_matrix_oracle(path, part, times)
+                    assert got.values.shape == want.values.shape
+                    assert got.values.tobytes() == want.values.tobytes(), (part, times)
+                    assert got.eval_times.tobytes() == want.eval_times.tobytes()
+
+
 class TestEvalIndices:
     """The sort-based union keeps the values and dtype of np.union1d."""
 
