@@ -16,7 +16,9 @@ random balanced sequences and both stopped to [0.3, 0.7]; the default
 evaluation grid, [0.5, 1.0] and random on-grid times; every catalogue
 function, `square` (f1(x(0)) = 0 on paths from 0) included.  Invariance checks take a balance
 threshold of 64, so the stopped random balanced sequence, whose end cells
-are cut short, is compared too.  Each digest hashes the dtype, shape
+are cut short, is compared too.  The ``ito`` family also hashes
+``follmer_path`` for every path (the 3-d one included), every level of every
+sequence and every catalogue function.  Each digest hashes the dtype, shape
 and bytes of every output array and the repr of every other field, so a
 flipped signed zero changes it.  A library error is hashed by class and
 message, and the run goes on.  The ``io`` family hashes the exact text of
@@ -160,6 +162,11 @@ def digests(levels=(8, 11, 14)) -> dict:
                                     grid)
                     _record(hs["ito"], pq.follmer_integral, path, fn.f1,
                             seq.partitions[-1], 0.5)
+        for path in paths + [w3]:
+            for seq in seqs:
+                for part in seq:
+                    for fn in fns:
+                        _record(hs["ito"], pq.follmer_path, path, fn.f1, part)
     return {name: h.hexdigest() for name, h in hs.items()}
 
 

@@ -24,7 +24,8 @@ import numpy as np
 from .errors import ParameterError
 from .partitions import Partition, PartitionSequence, _require_same_grid
 from .paths import PathMeta, SampledPath, master_index_of
-from .quadvar import QVCurve, _resolve_eval, default_eval_indices
+from .quadvar import (QVCurve, _level_samples, _resolve_eval, _running_sum, _straddle_index,
+                      default_eval_indices)
 
 _trapezoid = getattr(np, "trapezoid", None) or np.trapz
 
@@ -140,22 +141,11 @@ def follmer_integral(path: SampledPath, f1, part: Partition, t: float) -> float:
 def follmer_path(path: SampledPath, f1, part: Partition) -> SampledPath:
     """The running pathwise integral sampled on the whole master grid."""
     _require_same_grid(path, part)
-    x = path.samples
-    pidx = part.indices
-    xl = x[pidx[:-1]]
-    g = _eval_grad(f1, xl, path.dim)                   # (N, d)
-    dx = x[pidx[1:]] - xl
-    terms = np.einsum("ij,ij->i", g, dx)
-    cum = np.concatenate([[0.0], np.cumsum(terms)])    # value at each partition point
-    n_pts = path.n_points
-    all_idx = np.arange(n_pts)
-    k = np.searchsorted(pidx, all_idx, side="right") - 1
-    inside = (k >= 0) & (k < len(pidx) - 1)
-    kin = np.where(inside, k, 0)
-    anchor = x[pidx[kin]]
-    gk = g[np.minimum(kin, len(pidx) - 2)]
-    straddle = np.where(inside, np.einsum("ij,ij->i", gk, x[all_idx] - anchor), 0.0)
-    base = np.where(k < 0, 0, np.where(inside, kin, len(pidx) - 1))
+    xp, xe, k = _level_samples(path.samples, part, np.arange(path.n_points))
+    g = _eval_grad(f1, xp[:-1], path.dim)              # (N, d)
+    cum = _running_sum(np.einsum("ij,ij->i", g, xp[1:] - xp[:-1]))  # at each partition point
+    inside, kin, base = _straddle_index(k, part.n_intervals)
+    straddle = np.where(inside, np.einsum("ij,ij->i", g[kin], xe - xp[kin]), 0.0)
     vals = cum[base] + straddle
     meta = PathMeta("custom", path.meta.seed, {})
     return SampledPath(path.horizon, path.master_level, 1, vals[:, None], meta)
@@ -171,6 +161,11 @@ def _stieltjes_against_curve(f2_at_left, part_times, curve: QVCurve, eval_times)
     kin = np.clip(k, 0, n - 2)
     straddle = cum[kin] + f2_at_left[kin] * (curve.at(eval_times) - q_at_part[kin])
     return np.where(k < 0, 0.0, np.where(k >= n - 1, cum[-1], straddle))
+
+
+def _require_scalar_curve(kernel: str, qv: QVCurve | None) -> None:
+    if qv is not None and qv.values.ndim != 1:
+        raise ParameterError(f"{kernel} needs a scalar QV curve, got one of dim {qv.dim}")
 
 
 @dataclass(frozen=True)
@@ -196,34 +191,23 @@ def ito_residual_level(
     """
     if path.dim != 1:
         raise ParameterError("ito_residual_level supports one-dimensional paths")
+    _require_scalar_curve("ito_residual_level", qv)
     _require_same_grid(path, part)
     x = path.scalar()
-    pidx = part.indices
     eval_idx = _resolve_eval(path, part, eval_times)
     et = eval_idx * path.master_step
-
-    xl = x[pidx[:-1]]
-    g = np.asarray(fn.f1(xl))
-    dx = x[pidx[1:]] - xl
-    cum_int = np.concatenate([[0.0], np.cumsum(g * dx)])
-
-    f2l = np.asarray(fn.f2(xl))
+    xp, xe, k = _level_samples(x, part, eval_idx)
+    g = np.asarray(fn.f1(xp[:-1]))
+    dx = xp[1:] - xp[:-1]
+    f2l = np.asarray(fn.f2(xp[:-1]))
+    inside, kin, base = _straddle_index(k, part.n_intervals)
+    stra = np.where(inside, xe - xp[kin], 0.0)
+    integral = _running_sum(g * dx)[base] + np.where(inside, g[kin] * stra, 0.0)
     if qv is None:
-        cum_st = np.concatenate([[0.0], np.cumsum(f2l * dx**2)])
-    k = np.searchsorted(pidx, eval_idx, side="right") - 1
-    inside = (k >= 0) & (k < len(pidx) - 1)
-    kin = np.where(inside, k, 0)
-    anchor = x[pidx[kin]]
-    stra = np.where(inside, x[eval_idx] - anchor, 0.0)
-    base = np.where(k < 0, 0, np.where(inside, kin, len(pidx) - 1))
-    integral = cum_int[base] + np.where(inside, g[np.minimum(kin, len(g) - 1)] * stra, 0.0)
-    if qv is None:
-        stieltjes = cum_st[base] + np.where(
-            inside, f2l[np.minimum(kin, len(f2l) - 1)] * stra**2, 0.0
-        )
+        stieltjes = _running_sum(f2l * dx**2)[base] + np.where(inside, f2l[kin] * stra**2, 0.0)
     else:
         stieltjes = _stieltjes_against_curve(f2l, part.times, qv, et)
-    resid = np.asarray(fn.f(x[eval_idx])) - float(fn.f(x[0])) - integral - 0.5 * stieltjes
+    resid = np.asarray(fn.f(xe)) - float(fn.f(x[0])) - integral - 0.5 * stieltjes
     return et, resid
 
 
@@ -276,34 +260,28 @@ def isometry_check(
     """
     if path.dim != 1:
         raise ParameterError("isometry_check supports one-dimensional paths")
+    _require_scalar_curve("isometry_check", qv)
     _require_same_grid(path, seq)
-    xs = path.samples
     sups, ivals = [], []
     times = None
     for part in seq:
-        pidx = part.indices
-        n_int = len(pidx) - 1
         eval_idx = _resolve_eval(path, part, eval_times)
         et = eval_idx * path.master_step
-        xl = xs[pidx[:-1]]
-        g = _eval_grad(fn.f1, xl, 1)                                  # (N, 1)
-        dx = xs[pidx[1:]] - xl
-        cum = np.concatenate([[0.0], np.cumsum(np.einsum("ij,ij->i", g, dx))])
-        k = np.searchsorted(pidx, eval_idx, side="right") - 1
-        inside = (k >= 0) & (k < n_int)
-        kin = np.where(inside, k, 0)
-        base = np.where(k < 0, 0, np.where(inside, kin, n_int))
-        stra = xs[eval_idx] - xs[pidx[kin]]
-        gk = g[np.minimum(kin, n_int - 1)]
+        xp, xe, k = _level_samples(path.samples, part, eval_idx)
+        g = _eval_grad(fn.f1, xp[:-1], 1)                             # (N, 1)
+        dx = xp[1:] - xp[:-1]
+        cum = _running_sum(np.einsum("ij,ij->i", g, dx))
+        inside, kin, base = _straddle_index(k, part.n_intervals)
+        stra = xe - xp[kin]
+        gk = g[kin]
         # the integral and its same-level QV at the evaluation indices, with
         # the operations of follmer_path and _qv_values at those indices
         ie = cum[base] + np.where(inside, np.einsum("ij,ij->i", gk, stra), 0.0)
-        cq = np.concatenate([[0.0], np.cumsum(np.diff(cum) ** 2)])
-        lhs = cq[base] + np.where(inside, ie - cum[kin], 0.0) ** 2
+        lhs = _running_sum(np.diff(cum) ** 2)[base] + np.where(inside, ie - cum[kin], 0.0) ** 2
         f1l = g[:, 0] ** 2
         if qv is None:
-            cum2 = np.concatenate([[0.0], np.cumsum(f1l * dx[:, 0] ** 2)])
-            rhs = cum2[base] + np.where(inside, gk[:, 0] ** 2 * stra[:, 0] ** 2, 0.0)
+            rhs = (_running_sum(f1l * dx[:, 0] ** 2)[base]
+                   + np.where(inside, gk[:, 0] ** 2 * stra[:, 0] ** 2, 0.0))
         else:
             rhs = _stieltjes_against_curve(f1l, part.times, qv, et)
         sups.append(float(np.abs(lhs - rhs).max()))
@@ -456,25 +434,19 @@ def occupation_check(
     bands = [(float(lo), float(hi)) for lo, hi in sets_a]
     bands.append((-math.inf, math.inf))
     t_idx = master_index_of(field.t_grid, path.master_level, path.horizon)
-    pidx = part.indices
-    xl = x[pidx[:-1]]
-
+    xp, xe, k = _level_samples(x, part, t_idx)
+    xl, dx = xp[:-1], np.diff(xp)
+    inside, kin, base = _straddle_index(k, part.n_intervals)
+    stra = np.where(inside, xe - xp[kin], 0.0)
     lhs = np.empty((len(bands), len(t_idx)))
     rhs = np.empty_like(lhs)
-    dx = np.diff(x[pidx])
-    k = np.searchsorted(pidx, t_idx, side="right") - 1
-    inside = (k >= 0) & (k < len(pidx) - 1)
-    kin = np.where(inside, k, 0)
-    stra = np.where(inside, x[t_idx] - x[pidx[kin]], 0.0)
-    base = np.where(k < 0, 0, np.where(inside, kin, len(pidx) - 1))
     for si, (lo, hi) in enumerate(bands):
         mask = (u >= lo) & (u < hi)
         if mask.sum() < 2:
             raise ParameterError(f"band [{lo}, {hi}) covers fewer than 2 u nodes")
         lhs[si] = _trapezoid(field.values[:, mask], u[mask], axis=1)
         ind = ((xl >= lo) & (xl < hi)).astype(np.float64)
-        cum = np.concatenate([[0.0], np.cumsum(ind * dx**2)])
-        rhs[si] = cum[base] + np.where(inside, ind[kin] * stra**2, 0.0)
+        rhs[si] = _running_sum(ind * dx**2)[base] + np.where(inside, ind[kin] * stra**2, 0.0)
     matched = tuple(
         "full" if np.abs(lhs[i] - rhs[i]).sum() <= np.abs(lhs[i] - 0.5 * rhs[i]).sum()
         else "half"
@@ -547,6 +519,8 @@ def weak_l2_convergence(fields, bank=None, tol: float = 0.05, levels=None) -> We
     """
     if len(fields) < 3:
         raise ParameterError("need at least 3 levels")
+    if levels is not None and len(levels) != len(fields):
+        raise ParameterError(f"levels names {len(levels)} levels for {len(fields)} fields")
     u = fields[0].u_grid
     for f in fields[1:]:
         if len(f.u_grid) != len(u) or not np.allclose(f.u_grid, u):

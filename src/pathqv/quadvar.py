@@ -93,6 +93,29 @@ def _level_samples(x: np.ndarray, part: Partition, eval_idx: np.ndarray):
     return xp, x[eval_idx], k
 
 
+def _running_sum(terms: np.ndarray) -> np.ndarray:
+    """Partial sums of terms along axis 0, with a 0.0 row in front.
+
+    The first partial sum is terms[0] itself, not 0.0 + terms[0], so a -0.0
+    term keeps its sign.
+    """
+    cum = np.empty((len(terms) + 1,) + terms.shape[1:])
+    cum[0] = 0.0
+    np.cumsum(terms, axis=0, out=cum[1:])
+    return cum
+
+
+def _straddle_index(k: np.ndarray, n_int: int):
+    """``(inside, kin, base)`` for the interval indices k of _level_samples.
+
+    ``inside`` marks an evaluation index within an interval that straddles
+    it, ``kin`` is that interval (0 elsewhere) and ``base`` the number of
+    complete intervals before it: k clipped below at 0.
+    """
+    inside = (k >= 0) & (k < n_int)
+    return inside, np.where(inside, k, 0), np.maximum(k, 0)
+
+
 def _running_qv(xp: np.ndarray, xe: np.ndarray, k: np.ndarray) -> np.ndarray:
     """Exact truncated-increment QV from the samples of _level_samples.
 
@@ -102,23 +125,13 @@ def _running_qv(xp: np.ndarray, xe: np.ndarray, k: np.ndarray) -> np.ndarray:
     """
     if xp.ndim == 2 and xp.shape[1] == 1:
         xp, xe = xp[:, 0], xe[:, 0]
-    n_int = len(xp) - 1
     dx = xp[1:] - xp[:-1]                               # (N,) or (N, d)
+    inside, kin, base = _straddle_index(k, len(dx))
     if dx.ndim == 1:
-        np.square(dx, out=dx)
-        cum = np.empty(n_int + 1)
-        cum[0] = 0.0
-        np.cumsum(dx, out=cum[1:])
-    else:
-        d = dx.shape[1]
-        sq = dx[:, :, None] * dx[:, None, :]            # (N, d, d)
-        cum = np.concatenate([np.zeros((1, d, d)), np.cumsum(sq, axis=0)])
-    inside = (k >= 0) & (k < n_int)
-    kin = np.where(inside, k, 0)
-    base = np.maximum(k, 0)
-    if dx.ndim == 1:
+        cum = _running_sum(np.square(dx, out=dx))
         straddle = np.where(inside, xe - xp[kin], 0.0)
         return cum[base] + straddle ** 2
+    cum = _running_sum(dx[:, :, None] * dx[:, None, :])  # (N + 1, d, d)
     straddle = np.where(inside[:, None], xe - xp[kin], 0.0)
     return cum[base] + straddle[:, :, None] * straddle[:, None, :]
 

@@ -243,31 +243,57 @@ class TestIsometry:
         assert rep.sup_distances[0] < 1e-10
 
 
+def follmer_path_oracle(path, f1, part):
+    """The gather-and-searchsorted integral path, kept as the oracle of follmer_path.
+
+    Returns the (n_points,) values of the running integral.
+    """
+    x = path.samples
+    pidx = part.indices
+    xl = x[pidx[:-1]]
+    g = calculus._eval_grad(f1, xl, path.dim)          # (N, d)
+    dx = x[pidx[1:]] - xl
+    terms = np.einsum("ij,ij->i", g, dx)
+    cum = np.concatenate([[0.0], np.cumsum(terms)])    # value at each partition point
+    all_idx = np.arange(path.n_points)
+    k = np.searchsorted(pidx, all_idx, side="right") - 1
+    inside = (k >= 0) & (k < len(pidx) - 1)
+    kin = np.where(inside, k, 0)
+    anchor = x[pidx[kin]]
+    gk = g[np.minimum(kin, len(pidx) - 2)]
+    straddle = np.where(inside, np.einsum("ij,ij->i", gk, x[all_idx] - anchor), 0.0)
+    base = np.where(k < 0, 0, np.where(inside, kin, len(pidx) - 1))
+    return cum[base] + straddle
+
+
 def isometry_whole_grid(path, fn, seq, qv=None, eval_times=None):
     """Reference isometry: the integral path on the whole master grid, then its QV."""
     x = path.scalar()
     sups, ivals, times = [], [], None
     for part in seq:
-        ipath = pq.follmer_path(path, fn.f1, part)
+        pidx = part.indices
+        ipath = follmer_path_oracle(path, fn.f1, part)
         eval_idx = pq.quadvar.default_eval_indices(path, part) if eval_times is None else \
             np.union1d(master_index_of(eval_times, path.master_level, path.horizon),
                        [0, 1 << path.master_level])
         et = eval_idx * path.master_step
-        lhs = pq.quadvar._qv_values(ipath, part, eval_idx)
-        f1l = np.asarray(fn.f1(x[part.indices[:-1]])) ** 2
+        k = np.searchsorted(pidx, eval_idx, side="right") - 1
+        inside = (k >= 0) & (k < len(pidx) - 1)
+        kin = np.where(inside, k, 0)
+        base = np.where(k < 0, 0, np.where(inside, kin, len(pidx) - 1))
+        # the QV of the integral path along the level, as the kept QV oracle sums it
+        cq = np.concatenate([[0.0], np.cumsum((ipath[pidx[1:]] - ipath[pidx[:-1]]) ** 2)])
+        lhs = cq[base] + np.where(inside, ipath[eval_idx] - ipath[pidx[kin]], 0.0) ** 2
+        f1l = np.asarray(fn.f1(x[pidx[:-1]])) ** 2
         if qv is None:
-            dx = np.diff(x[part.indices])
+            dx = np.diff(x[pidx])
             cum = np.concatenate([[0.0], np.cumsum(f1l * dx**2)])
-            k = np.searchsorted(part.indices, eval_idx, side="right") - 1
-            inside = (k >= 0) & (k < len(part.indices) - 1)
-            kin = np.where(inside, k, 0)
-            stra = np.where(inside, x[eval_idx] - x[part.indices[kin]], 0.0)
-            base = np.where(k < 0, 0, np.where(inside, kin, len(part.indices) - 1))
+            stra = np.where(inside, x[eval_idx] - x[pidx[kin]], 0.0)
             rhs = cum[base] + np.where(inside, f1l[np.minimum(kin, len(f1l) - 1)] * stra**2, 0.0)
         else:
             rhs = calculus._stieltjes_against_curve(f1l, part.times, qv, et)
         sups.append(float(np.abs(lhs - rhs).max()))
-        ivals.append(float(ipath.scalar()[-1]))
+        ivals.append(float(ipath[-1]))
         times = et
     return times, np.asarray(sups), np.asarray(ivals)
 
@@ -288,7 +314,8 @@ class TestIsometryOracle:
         w = _oracle_path(kind, M)
         seqs = [pq.gen_dyadic(range(M - 6, M + 1), M, 1.0),
                 pq.gen_random_balanced(5, [M - 5, M - 3], M, 1.0, 3.0),
-                pq.stop_partition(pq.gen_dyadic([M - 4, M - 1], M, 1.0), (0.25, 0.75))]
+                pq.stop_partition(pq.gen_dyadic([M - 4, M - 1], M, 1.0), (0.25, 0.75)),
+                pq.PartitionSequence(tuple(_stopped_ranges(M)), (4, 6), "ranges")]
         curves = [None, pq.qv_level(w, pq.gen_dyadic([M - 2], M, 1.0).level(M - 2))]
         # the last grid is unsorted and holds both ends
         grids = [None, [0.25, 0.5, 1.0], (np.arange(33) / 32)[::-1]]
@@ -324,6 +351,187 @@ class TestIsometryOracle:
 
         pq.isometry_check(w, pq.FunctionTriple("sin", np.sin, f1, lambda v: -np.sin(v)), seq)
         assert calls == [p.n_intervals for p in seq]
+
+
+def ito_residual_level_oracle(path, fn, part, qv=None, eval_times=None):
+    """The gather-and-searchsorted residual, kept as the oracle of ito_residual_level."""
+    x = path.scalar()
+    pidx = part.indices
+    eval_idx = pq.quadvar._resolve_eval(path, part, eval_times)
+    et = eval_idx * path.master_step
+
+    xl = x[pidx[:-1]]
+    g = np.asarray(fn.f1(xl))
+    dx = x[pidx[1:]] - xl
+    cum_int = np.concatenate([[0.0], np.cumsum(g * dx)])
+
+    f2l = np.asarray(fn.f2(xl))
+    if qv is None:
+        cum_st = np.concatenate([[0.0], np.cumsum(f2l * dx**2)])
+    k = np.searchsorted(pidx, eval_idx, side="right") - 1
+    inside = (k >= 0) & (k < len(pidx) - 1)
+    kin = np.where(inside, k, 0)
+    anchor = x[pidx[kin]]
+    stra = np.where(inside, x[eval_idx] - anchor, 0.0)
+    base = np.where(k < 0, 0, np.where(inside, kin, len(pidx) - 1))
+    integral = cum_int[base] + np.where(inside, g[np.minimum(kin, len(g) - 1)] * stra, 0.0)
+    if qv is None:
+        stieltjes = cum_st[base] + np.where(
+            inside, f2l[np.minimum(kin, len(f2l) - 1)] * stra**2, 0.0
+        )
+    else:
+        stieltjes = calculus._stieltjes_against_curve(f2l, part.times, qv, et)
+    resid = np.asarray(fn.f(x[eval_idx])) - float(fn.f(x[0])) - integral - 0.5 * stieltjes
+    return et, resid
+
+
+def occupation_rhs_oracle(field, path, part, bands):
+    """The gather-and-searchsorted right side of occupation_check, one row per band."""
+    x = path.scalar()
+    t_idx = master_index_of(field.t_grid, path.master_level, path.horizon)
+    pidx = part.indices
+    xl = x[pidx[:-1]]
+    rhs = np.empty((len(bands), len(t_idx)))
+    dx = np.diff(x[pidx])
+    k = np.searchsorted(pidx, t_idx, side="right") - 1
+    inside = (k >= 0) & (k < len(pidx) - 1)
+    kin = np.where(inside, k, 0)
+    stra = np.where(inside, x[t_idx] - x[pidx[kin]], 0.0)
+    base = np.where(k < 0, 0, np.where(inside, kin, len(pidx) - 1))
+    for si, (lo, hi) in enumerate(bands):
+        ind = ((xl >= lo) & (xl < hi)).astype(np.float64)
+        cum = np.concatenate([[0.0], np.cumsum(ind * dx**2)])
+        rhs[si] = cum[base] + np.where(inside, ind[kin] * stra**2, 0.0)
+    return rhs
+
+
+def _stopped_ranges(M):
+    """Levels held as ranges that start after 0: one stride from 0, and five."""
+    s = 1 << (M - 4)
+    r = 1 << (M - 6)
+    return [pq.Partition(range(s, 15 * s + 1, s), M, 1.0),
+            pq.Partition(range(5 * r, 60 * r + 1, r), M, 1.0)]
+
+
+def _kernel_oracle_partitions(M):
+    return [*pq.gen_dyadic(range(M - 6, M + 1), M, 1.0),
+            *pq.gen_random_balanced(5, [M - 5, M - 3], M, 1.0, 3.0),
+            *pq.stop_partition(pq.gen_dyadic([M - 4], M, 1.0), (0.25, 0.75)),
+            *_stopped_ranges(M)]
+
+
+def _kernel_oracle_grids(M):
+    # random on-grid times, and times before the first point of a stopped range
+    on_grid = np.sort(np.random.default_rng(M).integers(0, (1 << M) + 1, 16)) / (1 << M)
+    return [None, [0.5, 1.0], on_grid, [0.0, 2.0**-M, 2.0**-4 - 2.0**-M, 0.75]]
+
+
+class TestRunningSumOracles:
+    """The kernels on the shared running sum keep the bytes of their kept bodies.
+
+    Paths start at 0, so ``square`` has f1(x(0)) = 0 and its first terms are
+    signed zeros.
+    """
+
+    @pytest.mark.parametrize("M", [8, 11, 14])
+    @pytest.mark.parametrize("kind", ["brownian", "mixed", "fbm"])
+    def test_ito_residual_level(self, kind, M):
+        w = _oracle_path(kind, M)
+        curves = [None, pq.qv_level(w, pq.gen_dyadic([M - 2], M, 1.0).level(M - 2))]
+        fns = [pq.function_catalogue(name) for name in CATALOGUE]
+        for part in _kernel_oracle_partitions(M):
+            for fn in fns:
+                for qv in curves:
+                    for et in _kernel_oracle_grids(M):
+                        t_got, got = pq.ito_residual_level(w, fn, part, qv, et)
+                        t_want, want = ito_residual_level_oracle(w, fn, part, qv, et)
+                        assert t_got.tobytes() == t_want.tobytes()
+                        assert got.tobytes() == want.tobytes(), (part, fn.name, et)
+
+    @pytest.mark.parametrize("M", [8, 11, 14])
+    @pytest.mark.parametrize("kind", ["brownian", "mixed", "fbm"])
+    def test_occupation_check(self, kind, M):
+        w = _oracle_path(kind, M)
+        u = default_u_grid(w, n_u=256)
+        sets = [(u[32], u[128]), (u[128], u[224]), (0.0, np.inf)]
+        bands = [*sets, (-np.inf, np.inf)]
+        for part in _kernel_oracle_partitions(M):
+            # rows at every point of a fine level make the field slow to build
+            grids = _kernel_oracle_grids(M)[part.n_intervals > 2048:]
+            for t_grid in grids:
+                fld = pq.local_time_discrete(w, part, t_grid, u)
+                rep = pq.occupation_check(fld, w, part, sets)
+                want = occupation_rhs_oracle(fld, w, part, bands)
+                assert rep.rhs_full.tobytes() == want.tobytes(), (part, t_grid)
+                assert rep.rhs_half.tobytes() == (0.5 * want).tobytes()
+
+    @pytest.mark.parametrize("M", [8, 11, 14])
+    def test_follmer_path(self, M):
+        fns = [pq.function_catalogue(name) for name in CATALOGUE]
+        for w in [*(_oracle_path(kind, M) for kind in ("brownian", "mixed", "fbm")),
+                  pq.gen_brownian(3, M, 1.0, 3)]:
+            for part in _kernel_oracle_partitions(M):
+                for fn in fns:
+                    got = pq.follmer_path(w, fn.f1, part).scalar()
+                    assert got.tobytes() == follmer_path_oracle(w, fn.f1, part).tobytes()
+
+
+class TestDyadicLevelStaysARange:
+    """A dyadic level is read as a strided view: no kernel builds its indices."""
+
+    def _level(self):
+        return pq.gen_dyadic([6], 10, 1.0).level(6)
+
+    def test_ito_residual_level(self):
+        part = self._level()
+        pq.ito_residual_level(pq.gen_brownian(1, 10, 1.0), pq.function_catalogue("sin"),
+                              part, eval_times=[0.25, 1.0])
+        assert "indices" not in vars(part)
+
+    def test_isometry_check(self):
+        seq = pq.gen_dyadic([6], 10, 1.0)
+        pq.isometry_check(pq.gen_brownian(1, 10, 1.0), pq.function_catalogue("sin"), seq,
+                          eval_times=[0.25, 1.0])
+        assert "indices" not in vars(seq.level(6))
+
+    def test_occupation_check(self):
+        w = pq.gen_brownian(1, 10, 1.0)
+        u = default_u_grid(w, n_u=256)
+        fld = pq.local_time_discrete(w, self._level(), [0.25, 1.0], u)
+        part = self._level()
+        pq.occupation_check(fld, w, part, [(u[32], u[128])])
+        assert "indices" not in vars(part)
+
+    def test_follmer_path(self):
+        part = self._level()
+        pq.follmer_path(pq.gen_brownian(1, 10, 1.0), np.cos, part)
+        assert "indices" not in vars(part)
+
+
+def _never(x):
+    raise AssertionError("evaluated before the QV curve was checked")
+
+
+class TestMatrixCurveRefused:
+    """A matrix-valued QV curve is refused by name before any work."""
+
+    def _inputs(self):
+        seq = pq.gen_dyadic([6, 8], 10, 1.0)
+        w2 = pq.gen_brownian(4, 10, 1.0, 2)
+        fn = pq.FunctionTriple("never", _never, _never, _never)
+        return pq.gen_brownian(3, 10, 1.0), fn, seq, pq.qv_matrix(w2, seq.level(8))
+
+    def test_ito_residual_level(self):
+        w, fn, seq, curve = self._inputs()
+        with pytest.raises(pq.ParameterError, match="ito_residual_level.*dim 2"):
+            pq.ito_residual_level(w, fn, seq.level(8), qv=curve)
+        with pytest.raises(pq.ParameterError, match="dim 2"):
+            pq.ito_residual(w, fn, seq, qv=curve)
+
+    def test_isometry_check(self):
+        w, fn, seq, curve = self._inputs()
+        with pytest.raises(pq.ParameterError, match="isometry_check.*dim 2"):
+            pq.isometry_check(w, fn, seq, qv=curve)
 
 
 class TestLocalTime:
@@ -619,6 +827,13 @@ class TestWeakL2:
         ]
         with pytest.raises(pq.ParameterError):
             pq.weak_l2_convergence(fields)
+
+    def test_levels_must_name_every_field(self):
+        w = pq.gen_brownian(2, 12, 1.0)
+        fields = self._fields(w, [6, 7, 8], default_u_grid(w, n_u=256))
+        with pytest.raises(pq.ParameterError, match="1 levels for 3 fields"):
+            pq.weak_l2_convergence(fields, levels=(1,))
+        assert pq.weak_l2_convergence(fields, levels=(1, 2, 3)).level_ids == (1, 2, 3)
 
     def test_default_bank_shapes(self):
         u = np.linspace(-1, 1, 300)

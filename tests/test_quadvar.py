@@ -162,6 +162,32 @@ def test_uniform_interval_lookup_matches_searchsorted(M, data):
     assert got.tobytes() == _qv_values_oracle(path, part, eval_idx).tobytes()
 
 
+class TestRunningSum:
+    def test_leading_negative_zero_keeps_its_sign(self):
+        # square has f1(x(0)) = 0 on a path from 0: the first term is -0.0
+        # whenever the first increment is negative; 0.0 + -0.0 would be +0.0
+        cum = pq.quadvar._running_sum(np.array([-0.0, -0.0, 1.5]))
+        assert not np.signbit(cum[0])
+        assert np.signbit(cum[1]) and np.signbit(cum[2])
+        assert cum[3] == 1.5
+
+    @pytest.mark.parametrize("shape", [(257,), (64, 3, 3)])
+    def test_equals_prepended_zeros_and_cumsum(self, shape):
+        terms = np.random.default_rng(3).standard_normal(shape)
+        terms[:2] = -0.0
+        want = np.concatenate([np.zeros((1,) + shape[1:]), np.cumsum(terms, axis=0)])
+        got = pq.quadvar._running_sum(terms)
+        assert got.shape == want.shape and got.tobytes() == want.tobytes()
+
+    def test_straddle_index_matches_nested_where(self):
+        n_int = 5
+        k = np.arange(-4, n_int + 1)
+        inside, kin, base = pq.quadvar._straddle_index(k, n_int)
+        assert np.array_equal(inside, (k >= 0) & (k < n_int))
+        assert np.array_equal(kin, np.where(inside, k, 0))
+        assert np.array_equal(base, np.where(k < 0, 0, np.where(inside, kin, n_int)))
+
+
 class TestQvMatrix:
     def test_duplicated_component_all_entries_equal(self):
         w = pq.gen_brownian(2, 10, 1.0)
