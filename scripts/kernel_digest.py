@@ -12,15 +12,17 @@ copy of the script knows fewer families.
 
 The matrix: master levels M = 8, 11, 14; Brownian, mixed (H = 0.75) and fBm
 (H = 0.3) paths, plus a 3-d Brownian path for the matrix QV; dyadic and
-random balanced sequences and both stopped to [0.3, 0.7]; the default
-evaluation grid, [0.5, 1.0] and random on-grid times; every catalogue
-function, `square` (f1(x(0)) = 0 on paths from 0) included.  Invariance checks take a balance
-threshold of 64, so the stopped random balanced sequence, whose end cells
-are cut short, is compared too.  The ``ito`` family also hashes
-``follmer_path`` for every path (the 3-d one included), every level of every
-sequence and every catalogue function.  Each digest hashes the dtype, shape
-and bytes of every output array and the repr of every other field, so a
-flipped signed zero changes it.  A library error is hashed by class and
+random balanced sequences and both stopped to [0.3, 0.7], and dyadic level
+6 stopped to [5/64, 60/64] and held as a range that starts after 0; the
+default evaluation grid, [0.5, 1.0] and random on-grid times; every catalogue
+function, `square` (f1(x(0)) = 0 on paths from 0) included.  Invariance
+checks take a balance threshold of 64, so the stopped random balanced
+sequence, whose end cells are cut short, is compared too, and so is the
+stopped range against the stopped dyadic sequence.  The ``ito`` family also
+hashes ``follmer_path`` for every path (the 3-d one included), every level
+of every sequence and every catalogue function.  Each digest hashes the
+dtype, shape and bytes of every output array and the repr of every other
+field, so a flipped signed zero changes it.  A library error is hashed by class and
 message, and the run goes on.  The ``io`` family hashes the exact text of
 every CSV writer, each written to a ``StringIO``: the QV CSV of each
 sequence's ``qv_level`` curves per path and of its 3-d ``qv_matrix`` curves,
@@ -90,8 +92,12 @@ def _sequences(M: int) -> list:
     levels = range(max(2, M - 6), M - 2)
     dyadic = pq.gen_dyadic(levels, M, 1.0)
     balanced = pq.gen_random_balanced(7, levels, M, 1.0, 3.0)
+    step = 1 << (M - 6)  # dyadic level 6 stopped to [5/64, 60/64], still held as a range
+    stopped_range = pq.PartitionSequence(
+        (pq.Partition(range(5 * step, 60 * step + 1, step), M, 1.0),), (6,))
     return [dyadic, balanced,
-            pq.stop_partition(dyadic, (0.3, 0.7)), pq.stop_partition(balanced, (0.3, 0.7))]
+            pq.stop_partition(dyadic, (0.3, 0.7)), pq.stop_partition(balanced, (0.3, 0.7)),
+            stopped_range]
 
 
 def _eval_grids(M: int) -> list:
@@ -109,7 +115,8 @@ def digests(levels=(8, 11, 14)) -> dict:
         w3 = pq.gen_brownian(M + 1, M, 1.0, d=3)
         fine = pq.gen_dyadic([M - 1], M, 1.0)
         fine_of = [fine, fine, pq.stop_partition(fine, (0.3, 0.7)),
-                   pq.stop_partition(fine, (0.3, 0.7))]
+                   pq.stop_partition(fine, (0.3, 0.7)),
+                   pq.stop_partition(fine, (5 / 64, 60 / 64))]
         for path in paths + [w3]:
             _text(hs["io"], pio.write_path_csv, path)
         for seq in seqs:
@@ -127,7 +134,7 @@ def digests(levels=(8, 11, 14)) -> dict:
                           [(n, curve) for n, curve in table if curve is not None])
                 for path in paths + [w3]:
                     _record(hs["qv"], pq.qv_limit_diagnostic, path, seq, grid)
-            for a, b in ((0, 1), (1, 0), (2, 3), (0, 2)):
+            for a, b in ((0, 1), (1, 0), (2, 3), (0, 2), (4, 2)):
                 for path in paths + [w3]:
                     _record(hs["invariance"], pq.invariance_check, path, seqs[a], seqs[b],
                             grid, balance_threshold=64.0)

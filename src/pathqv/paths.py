@@ -15,7 +15,7 @@ from functools import cached_property
 
 import numpy as np
 
-from .errors import ParameterError, ResolutionError
+from .errors import ParameterError
 
 PATH_KINDS = (
     "brownian",
@@ -27,10 +27,6 @@ PATH_KINDS = (
     "takagi",
     "custom",
 )
-
-#: Largest fGn covariance matrix we are willing to Cholesky-factor when the
-#: circulant embedding is not PSD.
-_CHOLESKY_MAX = 1 << 13
 
 #: Largest master level a path may have (2^30 + 1 samples, 8 GiB per
 #: coordinate); generators, SampledPath and the PQV1 reader share it, so every
@@ -166,77 +162,70 @@ def gen_brownian(seed: int, M: int, T: float, d: int = 1) -> SampledPath:
 
 
 def fgn_autocov(H: float, lags) -> np.ndarray:
-    """Autocovariance of unit-spacing fractional Gaussian noise."""
-    k = np.abs(np.asarray(lags, dtype=np.float64))
-    return 0.5 * ((k + 1.0) ** (2 * H) - 2.0 * k ** (2 * H) + np.abs(k - 1.0) ** (2 * H))
+    """Autocovariance of unit-spacing fractional Gaussian noise.
 
-
-def _fgn_scale(n: int, H: float):
-    """Eigenvalue square roots over 2n of the circulant fGn embedding, or None
-    if the embedding is not PSD; its temporaries are freed before the draw."""
-    gamma = fgn_autocov(H, np.arange(n + 1))
-    circ = np.concatenate([gamma, gamma[-2:0:-1]])  # length 2n
-    eig = np.fft.fft(circ).real
-    if eig.min() < -1e-9 * eig.max():
-        return None
-    eig = np.clip(eig, 0.0, None)
-    return np.sqrt(eig / (2 * n))
-
-
-def _fgn_circulant(rng: np.random.Generator, n: int, H: float):
-    """Exact fGn sample via circulant embedding; None if the embedding fails.
-
-    The circulant covariance is diagonalised by the DFT; a complex Gaussian
-    vector shaped by the eigenvalue square roots has real part distributed as
-    the stationary sequence.
+    Below lag 64 it is the second difference ((k+1)^2H - 2 k^2H + (k-1)^2H) / 2.
+    From 64 on, where that difference cancels, it is its series
+    k^2H sum_{j=1..6} C(2H, 2j) k^-2j by Horner's rule in k^-2 (C the
+    generalised binomial); the first omitted term is below 2^-70 relative.
     """
-    scale = _fgn_scale(n, H)
-    if scale is None:
-        return None
-    # the draw of (a + 1j b) * scale, built in place: real parts drawn first
-    z = np.empty(2 * n, dtype=np.complex128)
-    draw = rng.standard_normal(2 * n)
-    z.real = draw
-    z.imag = rng.standard_normal(out=draw)
+    k = np.array(lags, dtype=np.float64)  # a copy, overwritten with the result
+    np.abs(k, out=k)
+    near = k < 64
+    kn = k[near]
+    k[near] = 0.5 * ((kn + 1.0) ** (2 * H) - 2.0 * kn ** (2 * H) + np.abs(kn - 1.0) ** (2 * H))
+    kf = k[~near]
+    x = 1.0 / (kf * kf)
+    binom = [math.prod((2 * H - i) / (i + 1) for i in range(m)) for m in range(13)]
+    series = x * binom[12]
+    for m in (10, 8, 6, 4, 2):
+        series += binom[m]
+        series *= x
+    series *= np.power(kf, 2 * H, out=kf)
+    k[~near] = series
+    return k
+
+
+def _fgn_scale(M: int, H: float) -> np.ndarray:
+    """Weights of the n + 1 distinct eigenvalues of the 2n-long circulant fGn
+    embedding, n = 2^M: sqrt(n lambda_k), and sqrt(2n lambda_k) at the real
+    terms k = 0 and k = n."""
+    n = 1 << M
+    gamma = fgn_autocov(H, np.arange(n + 1))
+    eig = np.fft.rfft(np.concatenate([gamma, gamma[-2:0:-1]])).real
+    if eig.min() < -1e-9 * eig.max():
+        raise ParameterError(f"circulant fGn embedding at H={H}, M={M} has eigenvalue "
+                             f"{eig.min():.3g} against largest {eig.max():.3g}")
+    scale = np.clip(eig, 0.0, None) * n  # compact: the complex transform is freed on return
+    scale[[0, n]] *= 2.0
+    return np.sqrt(scale, out=scale)
+
+
+def _fgn_circulant(rng: np.random.Generator, M: int, H: float) -> np.ndarray:
+    """Exact fGn sample of length n = 2^M by the real Davies-Harte draw: a
+    Hermitian half-spectrum of normals, shaped by the eigenvalue weights, taken
+    through one irfft (which ignores the imaginary parts at k = 0 and n)."""
+    n = 1 << M
+    scale = _fgn_scale(M, H)  # first, so its temporaries never meet the draw
+    z = rng.standard_normal(2 * n + 2).view(np.complex128)
     z *= scale
-    return np.fft.fft(z, out=z).real[:n]
-
-
-def _fgn_cholesky(rng: np.random.Generator, n: int, H: float):
-    if n > _CHOLESKY_MAX:
-        raise ResolutionError(
-            f"circulant embedding failed and n={n} exceeds the Cholesky fallback "
-            f"limit {_CHOLESKY_MAX}"
-        )
-    lag = np.abs(np.arange(n)[:, None] - np.arange(n)[None, :])
-    cov = fgn_autocov(H, lag)
-    chol = np.linalg.cholesky(cov)
-    return chol @ rng.standard_normal(n)
+    return np.fft.irfft(z, 2 * n)[:n]
 
 
 def gen_fbm(seed: int, M: int, T: float, H: float) -> SampledPath:
-    """Fractional Brownian path with Hurst parameter H, exact in distribution.
-
-    Uses circulant embedding of the increment covariance (Davies-Harte style);
-    falls back to a Cholesky factorisation if the embedding is not PSD.  The
-    method used is recorded in meta.params["cholesky_fallback"].
-    """
+    """Fractional Brownian path with Hurst parameter H, exact in distribution by
+    circulant embedding (Davies-Harte), which is nonnegative definite for every H."""
     _check_gen_args(seed, M, T)
     if not 0.0 < H < 1.0:
         raise ParameterError(f"Hurst parameter must lie in (0,1), got {H}")
     n = 1 << M
-    rng = np.random.default_rng(seed)
-    fgn = _fgn_circulant(rng, n, H)
-    fallback = fgn is None
-    if fallback:
-        fgn = _fgn_cholesky(rng, n, H)
+    fgn = _fgn_circulant(np.random.default_rng(seed), M, H)
     samples = np.empty(n + 1)
     samples[0] = 0.0
     inc = samples[1:]  # increments scaled and summed in the output buffer
     np.multiply(fgn, (T / n) ** H, out=inc)
     np.cumsum(inc, out=inc)
-    meta = PathMeta("fbm", seed, {"H": H, "cholesky_fallback": float(fallback)})
-    return SampledPath(T, int(M), 1, samples, meta)
+    return SampledPath(T, int(M), 1, samples, PathMeta("fbm", seed, {"H": H}))
 
 
 def gen_mixed(seed: int, M: int, T: float, H: float, delta: float) -> SampledPath:
@@ -283,12 +272,23 @@ def _weierstrass(t: np.ndarray, a: float, b: int) -> np.ndarray:
     return out
 
 
+#: The parameters each deterministic kind accepts.
+_DETERMINISTIC_PARAMS = {"constant": ("value", "c"), "linear": ("slope",),
+                         "weierstrass": ("a", "b"), "takagi": ()}
+
+
 def gen_deterministic(kind: str, params: dict, M: int, T: float, d: int = 1) -> SampledPath:
     """Deterministic test paths evaluated exactly at the grid nodes."""
     _check_gen_args(0, M, T)
     if d != 1:
         raise ParameterError("deterministic kinds are one-dimensional")
     params = dict(params or {})
+    allowed = _DETERMINISTIC_PARAMS.get(kind)
+    if allowed is None:
+        raise ParameterError(f"unknown deterministic kind {kind!r}")
+    unknown = sorted(set(params) - set(allowed))
+    if unknown:
+        raise ParameterError(f"{kind} takes the parameters {list(allowed)}, got {unknown}")
     t = np.arange((1 << M) + 1) * (T / (1 << M))
     if kind == "constant":
         value = float(params.get("value", params.get("c", 0.0)))
@@ -309,11 +309,8 @@ def gen_deterministic(kind: str, params: dict, M: int, T: float, d: int = 1) -> 
             raise ParameterError(f"weierstrass requires a*b > 1, got {a * b}")
         samples = _weierstrass(t, a, b)
         params = {"a": a, "b": float(b)}
-    elif kind == "takagi":
-        samples = _takagi(t)
-        params = {}
     else:
-        raise ParameterError(f"unknown deterministic kind {kind!r}")
+        samples = _takagi(t)
     return SampledPath(T, int(M), 1, samples, PathMeta(kind, 0, params))
 
 

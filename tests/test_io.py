@@ -27,6 +27,18 @@ class TestBinaryPathFile:
         back = pio.read_path_binary(str(target))
         assert back.meta.params == {"H": 0.75, "delta": 0.5}
 
+    def test_reads_file_with_retired_fallback_flag(self):
+        # fBm files written before the Cholesky fallback was removed carry a
+        # cholesky_fallback parameter; they still read back whole
+        old = pq.SampledPath(1.0, 4, 1, np.linspace(0.0, 1.0, 17),
+                             pq.PathMeta("fbm", 5, {"H": 0.75, "cholesky_fallback": 0.0}))
+        buf = _stdio.BytesIO()
+        pio.write_path_binary(old, buf)
+        buf.seek(0)
+        back = pio.read_path_binary(buf)
+        assert back.meta == old.meta
+        assert back.samples.tobytes() == old.samples.tobytes()
+
     def test_magic_guard(self, tmp_path):
         bad = tmp_path / "bad.pqv"
         bad.write_bytes(b"NOPE" + b"\x00" * 64)

@@ -1,3 +1,4 @@
+import decimal
 import math
 
 import numpy as np
@@ -69,7 +70,7 @@ class TestFbm:
         a = pq.gen_fbm(9, 8, 1.0, 0.3)
         b = pq.gen_fbm(9, 8, 1.0, 0.3)
         assert np.array_equal(a.samples, b.samples)
-        assert a.meta.params["cholesky_fallback"] == 0.0
+        assert a.meta.params == {"H": 0.3}
 
     @pytest.mark.parametrize("H", [0.0, 1.0, -0.2, 1.5])
     def test_hurst_range(self, H):
@@ -87,27 +88,85 @@ class TestFbm:
         expect = fgn_autocov(H, [1])[0] * dt ** (2 * H)
         assert abs(np.mean(lag1) - expect) < 5 * np.std(lag1) / math.sqrt(len(lag1))
 
+    @pytest.mark.parametrize("H", [0.3, 0.75])
+    def test_half_spectrum_draw_autocov_within_clt(self, H):
+        # unit-spacing increments (T = n); per draw the lag-k mean of x_i x_{i+k},
+        # whose mean over R independent draws lies within 5 standard errors
+        # (sample std over draws / sqrt(R)) of gamma(k) by the CLT
+        M, R = 8, 2000
+        n = 2**M
+        inc = np.array([np.diff(pq.gen_fbm(s, M, float(n), H).scalar()) for s in range(R)])
+        for lag in (0, 1, 5):
+            per_draw = np.mean(inc[:, : n - lag] * inc[:, lag:], axis=1)
+            se = per_draw.std(ddof=1) / math.sqrt(R)
+            assert abs(per_draw.mean() - fgn_autocov(H, [lag])[0]) < 5 * se
 
-def _fbm_three_temporaries(seed, M, T, H):
-    """gen_fbm written with an uncached spectrum and a separate draw, scale and
-    sum: the stream and the float operations the generator must reproduce."""
+    @pytest.mark.parametrize("M,H", [(20, 0.96), (20, 0.99)])
+    def test_embedding_holds_at_high_hurst(self, M, H):
+        # the second-difference autocovariance made these embeddings fail
+        assert pq.gen_fbm(0, M, 1.0, H).samples.shape == (2**M + 1, 1)
+
+    def test_negative_eigenvalue_named(self, monkeypatch):
+        def not_a_covariance(H, lags):  # gamma(1) = 2 > gamma(0) = 1
+            return np.where(lags == 0, 1.0, np.where(lags == 1, 2.0, 0.0))
+
+        monkeypatch.setattr(pq.paths, "fgn_autocov", not_a_covariance)
+        with pytest.raises(pq.ParameterError, match=r"H=0\.7, M=6"):
+            pq.gen_fbm(0, 6, 1.0, 0.7)
+
+
+def _decimal_fgn_autocov(H, k):
+    """The second difference at 50 digits, rounded once to a float."""
+    with decimal.localcontext(decimal.Context(prec=50)):
+        h2, k = decimal.Decimal(2 * H), decimal.Decimal(int(k))
+        return float(((k + 1) ** h2 - 2 * k**h2 + (k - 1) ** h2) / 2)
+
+
+class TestFgnAutocov:
+    _LAGS = np.concatenate([np.arange(56, 80), [255, 256, 1000, 2**20, 10**6, 2**23 - 1],
+                            np.random.default_rng(3).integers(64, 2**23, 40)])
+
+    @pytest.mark.parametrize("H", [0.1, 0.3, 0.51, 0.75, 0.97])
+    def test_against_decimal_oracle(self, H):
+        # from lag 64 k^2H, 1/k^2, the leading Horner term and the two products
+        # each round once, so 4 eps bounds the series (2 eps was the largest
+        # seen); the second difference below 64 cancels about k^2 / |H(2H-1)|
+        # and gets 1e-10 (3.4e-11 seen at H = 0.51)
+        got = fgn_autocov(H, self._LAGS)
+        ref = np.array([_decimal_fgn_autocov(H, k) for k in self._LAGS])
+        rel = np.abs(got - ref) / np.abs(ref)
+        far = self._LAGS >= 64
+        assert rel[far].max() <= 4 * np.finfo(float).eps
+        assert rel[~far].max() <= 1e-10
+
+    def test_shape_and_sign_of_lags_kept(self):
+        lags = np.array([[-70, 0], [70, 3]])
+        got = fgn_autocov(0.75, lags)
+        assert got.shape == (2, 2) and got[0, 0] == got[1, 0] and got[0, 1] == 1.0
+
+
+def _fbm_half_spectrum(seed, M, T, H):
+    """gen_fbm written on plain temporaries: an unscaled spectrum, a separate
+    draw, then scale, irfft and cumsum, the stream and the float operations
+    the generator must reproduce."""
     n = 2**M
     gamma = fgn_autocov(H, np.arange(n + 1))
-    eig = np.fft.fft(np.concatenate([gamma, gamma[-2:0:-1]])).real
-    scale = np.sqrt(np.clip(eig, 0.0, None) / (2 * n))
-    rng = np.random.default_rng(seed)
-    z = rng.standard_normal(2 * n) + 1j * rng.standard_normal(2 * n)
-    fgn = np.fft.fft(scale * z).real[:n]
+    eig = np.clip(np.fft.rfft(np.concatenate([gamma, gamma[-2:0:-1]])).real, 0.0, None)
+    weight = np.full(n + 1, float(n))
+    weight[[0, n]] = 2.0 * n
+    draw = np.random.default_rng(seed).standard_normal(2 * n + 2)
+    z = np.empty(n + 1, dtype=np.complex128)
+    z.real, z.imag = draw[0::2], draw[1::2]
+    fgn = np.fft.irfft(z * np.sqrt(weight * eig), 2 * n)[:n]
     return np.concatenate([[0.0], np.cumsum(fgn * (T / n) ** H)])
 
 
 class TestFbmInPlaceDraw:
     @pytest.mark.parametrize("H", [0.1, 0.5, 0.75, 0.95])
-    def test_matches_three_temporary_formula(self, H):
+    def test_matches_half_spectrum_formula(self, H):
         for seed, T in ((3, 1.0), (4, 2.5)):
             path = pq.gen_fbm(seed, 12, T, H)
-            assert path.samples[:, 0].tobytes() == _fbm_three_temporaries(seed, 12, T, H).tobytes()
-            assert path.meta.params["cholesky_fallback"] == 0.0
+            assert path.samples[:, 0].tobytes() == _fbm_half_spectrum(seed, 12, T, H).tobytes()
 
     def test_mixed_matches_sum_of_components(self):
         m = pq.gen_mixed(8, 12, 1.0, 0.7, 0.5)
@@ -180,6 +239,16 @@ class TestDeterministic:
     def test_unknown_kind(self):
         with pytest.raises(pq.ParameterError):
             pq.gen_deterministic("sawtooth", {}, 8, 1.0)
+
+    @pytest.mark.parametrize("kind,params,bad", [
+        ("constant", {"value": 1.0, "val": 2.0}, "val"),
+        ("linear", {"slop": 3.0}, "slop"),
+        ("weierstrass", {"a": 0.5, "b": 7, "c": 1.0}, "c"),
+        ("takagi", {"H": 0.5}, "H"),
+    ])
+    def test_unknown_params_refused_by_name(self, kind, params, bad):
+        with pytest.raises(pq.ParameterError, match=f"{kind} takes the parameters .*'{bad}'"):
+            pq.gen_deterministic(kind, params, 8, 1.0)
 
 
 class TestEstimateHolder:
