@@ -20,9 +20,12 @@ checks take a balance threshold of 64, so the stopped random balanced
 sequence, whose end cells are cut short, is compared too, and so is the
 stopped range against the stopped dyadic sequence.  The ``ito`` family also
 hashes ``follmer_path`` for every path (the 3-d one included), every level
-of every sequence and every catalogue function.  Each digest hashes the
-dtype, shape and bytes of every output array and the repr of every other
-field, so a flipped signed zero changes it.  A library error is hashed by class and
+of every sequence and every catalogue function, ``follmer_integral`` on the
+same matrix at t = 1/16 (before the first point of every stopped level), at
+a partition point, one master step inside the interval after it and at T,
+and ``tanaka_residual`` at the first and last row of every local-time
+field.  Each digest hashes the dtype, shape and bytes of every output array
+and the repr of every other field, so a flipped signed zero changes it.  A library error is hashed by class and
 message, and the run goes on.  The ``io`` family hashes the exact text of
 every CSV writer, each written to a ``StringIO``: the QV CSV of each
 sequence's ``qv_level`` curves per path and of its 3-d ``qv_matrix`` curves,
@@ -106,6 +109,12 @@ def _eval_grids(M: int) -> list:
     return [None, [0.5, 1.0], on_grid]
 
 
+def _integral_times(part) -> list:
+    """Before the first point of every stopped level, at a point, inside an interval, at T."""
+    mid = float(part.indices_at(part.n_intervals // 2) * part.master_step)
+    return [1 / 16, mid, mid + part.master_step, part.horizon]
+
+
 def digests(levels=(8, 11, 14)) -> dict:
     """SHA-256 hex digest per kernel family over the matrix at the given M."""
     hs = {name: hashlib.sha256() for name in FAMILIES}
@@ -157,6 +166,10 @@ def digests(levels=(8, 11, 14)) -> dict:
                         _text(hs["io"], pio.write_localtime_csv, field)
                         _record(hs["localtime"], pq.occupation_check, field, path, part,
                                 [(u[32], u[128]), (u[128], u[224])])
+                        for fn in fns:
+                            for t in (field.t_grid[0], field.t_grid[-1]):
+                                _record(hs["ito"], pq.tanaka_residual, path, fn, part,
+                                        field, float(t))
                 qv = pq.qv_level(path, seq.partitions[-1])
                 for fn in fns:
                     for grid in grids:
@@ -167,13 +180,13 @@ def digests(levels=(8, 11, 14)) -> dict:
                                 _text(hs["io"], pio.write_residual_csv, residual)
                             _record(hs["isometry"], pq.isometry_check, path, fn, seq, curve,
                                     grid)
-                    _record(hs["ito"], pq.follmer_integral, path, fn.f1,
-                            seq.partitions[-1], 0.5)
         for path in paths + [w3]:
             for seq in seqs:
                 for part in seq:
                     for fn in fns:
                         _record(hs["ito"], pq.follmer_path, path, fn.f1, part)
+                        for t in _integral_times(part):
+                            _record(hs["ito"], pq.follmer_integral, path, fn.f1, part, t)
     return {name: h.hexdigest() for name, h in hs.items()}
 
 

@@ -27,8 +27,6 @@ from .paths import PathMeta, SampledPath, master_index_of
 from .quadvar import (QVCurve, _level_samples, _resolve_eval, _running_sum, _straddle_index,
                       default_eval_indices)
 
-_trapezoid = getattr(np, "trapezoid", None) or np.trapz
-
 
 # ---------------------------------------------------------------------------
 # function catalogue
@@ -117,50 +115,41 @@ def _eval_grad(f1, xleft, dim):
     return g
 
 
+def _follmer_at(path: SampledPath, f1, part: Partition, eval_idx: np.ndarray) -> np.ndarray:
+    """The running pathwise integral at the master indices eval_idx."""
+    xp, xe, k = _level_samples(path.samples, part, eval_idx)
+    g = _eval_grad(f1, xp[:-1], path.dim)              # (N, d)
+    cum = _running_sum(np.einsum("ij,ij->i", g, xp[1:] - xp[:-1]))  # at each partition point
+    inside, kin, base = _straddle_index(k, part.n_intervals)
+    straddle = np.where(inside, np.einsum("ij,ij->i", g[kin], xe - xp[kin]), 0.0)
+    return cum[base] + straddle
+
+
 def follmer_integral(path: SampledPath, f1, part: Partition, t: float) -> float:
     """Left Riemann sum of f1 along the partition, truncated at t."""
     _require_same_grid(path, part)
-    e = int(master_index_of([t], path.master_level, path.horizon)[0])
-    x = path.samples
-    pidx = part.indices
-    k = int(np.searchsorted(pidx, e, side="right")) - 1
-    if k < 0:
-        return 0.0
-    # intervals 0..k-1 are complete; interval k (if any) straddles e
-    xl = x[pidx[:k]]
-    g = _eval_grad(f1, xl, path.dim)
-    dx = x[pidx[1 : k + 1]] - xl
-    total = float(np.einsum("ij,ij->", g, dx))
-    if k < part.n_intervals and e > pidx[k]:
-        anchor = x[pidx[k]]
-        gl = _eval_grad(f1, anchor[None, :], path.dim)[0]
-        total += float(np.dot(gl, x[e] - anchor))
-    return total
+    return float(_follmer_at(path, f1, part,
+                             master_index_of([t], path.master_level, path.horizon))[0])
 
 
 def follmer_path(path: SampledPath, f1, part: Partition) -> SampledPath:
     """The running pathwise integral sampled on the whole master grid."""
     _require_same_grid(path, part)
-    xp, xe, k = _level_samples(path.samples, part, np.arange(path.n_points))
-    g = _eval_grad(f1, xp[:-1], path.dim)              # (N, d)
-    cum = _running_sum(np.einsum("ij,ij->i", g, xp[1:] - xp[:-1]))  # at each partition point
-    inside, kin, base = _straddle_index(k, part.n_intervals)
-    straddle = np.where(inside, np.einsum("ij,ij->i", g[kin], xe - xp[kin]), 0.0)
-    vals = cum[base] + straddle
+    vals = _follmer_at(path, f1, part, np.arange(path.n_points))
     meta = PathMeta("custom", path.meta.seed, {})
     return SampledPath(path.horizon, path.master_level, 1, vals[:, None], meta)
 
 
-def _stieltjes_against_curve(f2_at_left, part_times, curve: QVCurve, eval_times):
-    """Left sums of f2 against curve increments over partition intervals, truncated."""
-    q_at_part = curve.at(part_times)
-    terms = f2_at_left * np.diff(q_at_part)
-    cum = np.concatenate([[0.0], np.cumsum(terms)])
-    n = len(part_times)
-    k = np.searchsorted(part_times, eval_times, side="right") - 1
-    kin = np.clip(k, 0, n - 2)
-    straddle = cum[kin] + f2_at_left[kin] * (curve.at(eval_times) - q_at_part[kin])
-    return np.where(k < 0, 0.0, np.where(k >= n - 1, cum[-1], straddle))
+def _stieltjes_against_curve(f2_at_left, part: Partition, curve: QVCurve, eval_times,
+                             inside, kin, base):
+    """Left sums of f2 against curve increments over partition intervals, truncated.
+
+    ``(inside, kin, base)`` are the caller's _straddle_index of eval_times.
+    """
+    q_at_part = curve.at(part.indices_at(np.arange(part.n_intervals + 1)) * part.master_step)
+    cum = _running_sum(f2_at_left * np.diff(q_at_part))
+    straddle = f2_at_left[kin] * (curve.at(eval_times) - q_at_part[kin])
+    return np.where(inside, cum[base] + straddle, cum[base])
 
 
 def _require_scalar_curve(kernel: str, qv: QVCurve | None) -> None:
@@ -206,7 +195,7 @@ def ito_residual_level(
     if qv is None:
         stieltjes = _running_sum(f2l * dx**2)[base] + np.where(inside, f2l[kin] * stra**2, 0.0)
     else:
-        stieltjes = _stieltjes_against_curve(f2l, part.times, qv, et)
+        stieltjes = _stieltjes_against_curve(f2l, part, qv, et, inside, kin, base)
     resid = np.asarray(fn.f(xe)) - float(fn.f(x[0])) - integral - 0.5 * stieltjes
     return et, resid
 
@@ -283,7 +272,7 @@ def isometry_check(
             rhs = (_running_sum(f1l * dx[:, 0] ** 2)[base]
                    + np.where(inside, gk[:, 0] ** 2 * stra[:, 0] ** 2, 0.0))
         else:
-            rhs = _stieltjes_against_curve(f1l, part.times, qv, et)
+            rhs = _stieltjes_against_curve(f1l, part, qv, et, inside, kin, base)
         sups.append(float(np.abs(lhs - rhs).max()))
         ivals.append(float(cum[-1] + 0.0))
         times = et
@@ -313,7 +302,7 @@ class LocalTimeField:
     def integrate(self, weight=None) -> np.ndarray:
         """Trapezoid integral over u of L (optionally times a weight), per t."""
         w = self.values if weight is None else self.values * weight[None, :]
-        return _trapezoid(w, self.u_grid, axis=1)
+        return np.trapezoid(w, self.u_grid, axis=1)
 
 
 def default_u_grid(path: SampledPath, n_u: int = 512, margin: float = 0.05) -> np.ndarray:
@@ -444,7 +433,7 @@ def occupation_check(
         mask = (u >= lo) & (u < hi)
         if mask.sum() < 2:
             raise ParameterError(f"band [{lo}, {hi}) covers fewer than 2 u nodes")
-        lhs[si] = _trapezoid(field.values[:, mask], u[mask], axis=1)
+        lhs[si] = np.trapezoid(field.values[:, mask], u[mask], axis=1)
         ind = ((xl >= lo) & (xl < hi)).astype(np.float64)
         rhs[si] = _running_sum(ind * dx**2)[base] + np.where(inside, ind[kin] * stra**2, 0.0)
     matched = tuple(
@@ -476,7 +465,7 @@ def tanaka_residual(
     row = field.values[rows[0]]
     x = path.scalar()
     integral = follmer_integral(path, fn.f1, part, t)
-    quad = float(_trapezoid(row * np.asarray(fn.f2(field.u_grid)), field.u_grid))
+    quad = float(np.trapezoid(row * np.asarray(fn.f2(field.u_grid)), field.u_grid))
     e = int(master_index_of([t], path.master_level, path.horizon)[0])
     return float(fn.f(x[e]) - fn.f(x[0]) - integral - 0.5 * quad)
 
@@ -531,7 +520,7 @@ def weak_l2_convergence(fields, bank=None, tol: float = 0.05, levels=None) -> We
     rows = np.vstack([f.values[-1] for f in fields])   # (n_levels, n_u)
     pair = np.empty((len(bank), len(fields)))
     for i, (_, h) in enumerate(bank):
-        pair[i] = _trapezoid(rows * h[None, :], u, axis=1)
+        pair[i] = np.trapezoid(rows * h[None, :], u, axis=1)
     cauchy = np.abs(np.diff(pair, axis=1))
     ids = tuple(levels) if levels is not None else tuple(f.level for f in fields)
     return WeakL2Report(

@@ -391,7 +391,7 @@ def _mc_single(experiment: str, seed: int, cfg: dict, ctx: dict) -> dict:
             for k, seq in ctx["seqs"].items()}
     seq_a, seq_b = seqs["partition"], seqs.get("partition_b")
     ana = cfg.get("analysis", AnalysisConfig())
-    T = cfg["path"].T
+    T = path.horizon
     if experiment == "qv":
         val = float(qv_level(path, seq_a.partitions[-1], [T]).values[-1])
         target = ana.target if ana.target is not None else T

@@ -240,13 +240,13 @@ def gen_mixed(seed: int, M: int, T: float, H: float, delta: float) -> SampledPat
         raise ParameterError(f"mixed paths require H > 1/2, got {H}")
     if delta < 0:
         raise ParameterError(f"delta must be >= 0, got {delta}")
-    bm = gen_brownian(derive_subseed(seed, "mixed-bm"), M, T, 1)
+    bm_seed = derive_subseed(seed, "mixed-bm")
     if delta == 0.0:
-        samples = bm.samples.copy()
+        samples = gen_brownian(bm_seed, M, T, 1).samples.copy()
     else:
-        fbm = gen_fbm(derive_subseed(seed, "mixed-fbm"), M, T, H)
-        samples = delta * fbm.samples
-        samples += bm.samples
+        # the fBm part first, so the Brownian path is not held through its peak
+        samples = delta * gen_fbm(derive_subseed(seed, "mixed-fbm"), M, T, H).samples
+        samples += gen_brownian(bm_seed, M, T, 1).samples
     meta = PathMeta("mixed", seed, {"H": H, "delta": delta})
     return SampledPath(T, int(M), 1, samples, meta)
 

@@ -103,6 +103,69 @@ class TestFollmerIntegral:
         assert pq.follmer_integral(w, np.cos, stopped, 0.25) == 0.0
 
 
+def follmer_integral_oracle(path, f1, part, t):
+    """The pairwise-sum integral, kept as the scalar oracle of follmer_integral.
+
+    It sums the complete intervals with one einsum (numpy sums pairwise) and
+    the straddling interval apart, so it rounds differently from the running
+    sum that follmer_integral now shares with follmer_path.
+    """
+    e = int(master_index_of([t], path.master_level, path.horizon)[0])
+    x = path.samples
+    pidx = part.indices
+    k = int(np.searchsorted(pidx, e, side="right")) - 1
+    if k < 0:
+        return 0.0
+    xl = x[pidx[:k]]
+    g = calculus._eval_grad(f1, xl, path.dim)
+    dx = x[pidx[1 : k + 1]] - xl
+    total = float(np.einsum("ij,ij->", g, dx))
+    if k < part.n_intervals and e > pidx[k]:
+        anchor = x[pidx[k]]
+        gl = calculus._eval_grad(f1, anchor[None, :], path.dim)[0]
+        total += float(np.dot(gl, x[e] - anchor))
+    return total
+
+
+class TestFollmerIntegralOracle:
+    """The running sum stays within 1e-13 of the pairwise sum.
+
+    On the first test's matrix (20 Brownian seeds at M = 20; dyadic and
+    random balanced level 14; sin, cubic and square; t = 0.3125 + 2^-20 and
+    1) 236 of the 240 values differ, by at most 2.8e-14.
+    """
+
+    TOL = 1e-13
+
+    def test_running_sum_within_tol_of_pairwise_sum(self):
+        M = 20
+        parts = [pq.gen_dyadic([14], M, 1.0).level(14),
+                 pq.gen_random_balanced(5, [14], M, 1.0, 3.0).level(14)]
+        fns = [pq.function_catalogue(name) for name in ("sin", "cubic", "square")]
+        gaps = []
+        for seed in range(20):
+            w = pq.gen_brownian(seed, M, 1.0)
+            for part in parts:
+                for fn in fns:
+                    for t in (0.3125 + 2.0**-M, 1.0):
+                        got = pq.follmer_integral(w, fn.f1, part, t)
+                        gaps.append(abs(got - follmer_integral_oracle(w, fn.f1, part, t)))
+        assert max(gaps) <= self.TOL
+
+    @pytest.mark.parametrize("M", [8, 11])
+    def test_stopped_levels_and_several_dimensions(self, M):
+        fns = [pq.function_catalogue(name) for name in CATALOGUE]
+        times = [0.0, 2.0**-M, 1 / 16, 0.25 + 2.0**-M, 0.5, 0.75, 1.0]
+        for w in [*(_oracle_path(kind, M) for kind in ("brownian", "mixed", "fbm")),
+                  pq.gen_brownian(3, M, 1.0, 3)]:
+            for part in _kernel_oracle_partitions(M):
+                for fn in fns:
+                    for t in times:
+                        got = pq.follmer_integral(w, fn.f1, part, t)
+                        want = follmer_integral_oracle(w, fn.f1, part, t)
+                        assert abs(got - want) <= self.TOL, (part, fn.name, t)
+
+
 @given(strat.small_paths(max_level=7), st.data(), st.integers(0, 255))
 @settings(max_examples=30)
 def test_follmer_path_matches_pointwise_integral(path, data, pick):
@@ -111,7 +174,7 @@ def test_follmer_path_matches_pointwise_integral(path, data, pick):
     e = pick % path.n_points
     t = float(path.times[e])
     want = pq.follmer_integral(path, np.cos, part, t)
-    assert abs(ipath.scalar()[e] - want) < 1e-12
+    assert ipath.scalar()[e].tobytes() == np.float64(want).tobytes()
 
 
 class TestItoResidual:
@@ -171,52 +234,61 @@ def stieltjes_loop(f2_at_left, part_times, curve, eval_times):
 
 
 class TestStieltjesAgainstCurve:
-    """The vectorised Stieltjes sum keeps the bits of the per-time loop."""
+    """The Stieltjes sum on the running sum keeps the bits of the per-time loop."""
 
     M = 12
 
     def _partitions(self):
         dyadic = pq.gen_dyadic([5, 9], self.M, 1.0)
         rb = pq.gen_random_balanced(3, [7], self.M, 1.0, 3.0)
-        # a stopped partition puts evaluation times before its start and after its end
+        # stopped levels and ranges that start after 0 put evaluation times
+        # before their first point and after their last
         stopped = pq.stop_partition(dyadic, (0.25, 0.75))
-        return [*dyadic, *rb, *stopped]
+        return [*dyadic, *rb, *stopped, *_stopped_ranges(self.M)]
+
+    def _paths(self):
+        # on the constant path sin has f2 = -0.0 and every Stieltjes term is -0.0
+        flat = pq.SampledPath(1.0, self.M, 1, np.zeros((2**self.M + 1, 1)),
+                              pq.PathMeta("custom", 0, {}))
+        return [pq.gen_brownian(5, self.M, 1.0), flat]
 
     def test_matches_loop_bit_for_bit(self):
-        w = pq.gen_brownian(5, self.M, 1.0)
-        curve = pq.qv_level(w, pq.gen_dyadic([10], self.M, 1.0).level(10))
         f2 = pq.function_catalogue("sin").f2
-        grids = [np.arange(0, 4097, 7) / 4096, np.array([0.0, 0.3125, 1.0]), curve.eval_times]
-        for part in self._partitions():
-            f2l = np.asarray(f2(w.scalar()[part.indices[:-1]]))
-            for et in grids:
-                got = calculus._stieltjes_against_curve(f2l, part.times, curve, et)
-                want = stieltjes_loop(f2l, part.times, curve, et)
-                assert got.tobytes() == want.tobytes()
+        grids = [np.arange(0, 4097, 7), np.array([0, 1280, 4096]), np.arange(0, 4097, 128)]
+        for w in self._paths():
+            curve = pq.qv_level(w, pq.gen_dyadic([10], self.M, 1.0).level(10))
+            for part in self._partitions():
+                f2l = np.asarray(f2(w.scalar()[part.indices[:-1]]))
+                for eval_idx in grids:
+                    et = eval_idx * w.master_step
+                    _, _, k = pq.quadvar._level_samples(w.samples, part, eval_idx)
+                    got = calculus._stieltjes_against_curve(
+                        f2l, part, curve, et, *calculus._straddle_index(k, part.n_intervals))
+                    want = stieltjes_loop(f2l, part.times, curve, et)
+                    assert got.tobytes() == want.tobytes(), (part, eval_idx)
 
-    def test_residual_and_isometry_with_curve(self, monkeypatch):
-        w = pq.gen_brownian(8, self.M, 1.0)
-        fn = pq.function_catalogue("cubic")
+    def test_residual_and_isometry_with_curve(self):
         seq = pq.gen_dyadic([6, 8, 10], self.M, 1.0)
-        curves = [pq.qv_level(w, seq.level(10)),
-                  pq.qv_level(w, seq.level(6), np.arange(0, 33) / 32)]
-        grids = [None, np.arange(0, 4097, 5) / 4096]
-
-        def run():
-            out = []
-            for qv in curves:
-                for et in grids:
-                    for part in self._partitions():
-                        out.append(pq.ito_residual_level(w, fn, part, qv=qv, eval_times=et))
-                    rep = pq.isometry_check(w, fn, seq, qv=qv, eval_times=et)
-                    out.append((rep.sup_distances, rep.integral_values))
-            return out
-
-        got = run()
-        monkeypatch.setattr(calculus, "_stieltjes_against_curve", stieltjes_loop)
-        want = run()
-        for (a1, a2), (b1, b2) in zip(got, want):
-            assert a1.tobytes() == b1.tobytes() and a2.tobytes() == b2.tobytes()
+        grids = [None, np.arange(0, 4097, 5) / 4096, [0.0, 1 / 16, 0.5, 1.0]]
+        for w in self._paths():
+            curves = [pq.qv_level(w, seq.level(10)),
+                      pq.qv_level(w, seq.level(6), np.arange(0, 33) / 32)]
+            seqs = [seq, pq.stop_partition(seq, (0.25, 0.75)),
+                    pq.PartitionSequence(tuple(_stopped_ranges(self.M)), (4, 6), "ranges")]
+            for fn in (pq.function_catalogue("sin"), pq.function_catalogue("cubic")):
+                for qv in curves:
+                    for et in grids:
+                        for part in self._partitions():
+                            t_got, got = pq.ito_residual_level(w, fn, part, qv, et)
+                            t_want, want = ito_residual_level_oracle(w, fn, part, qv, et)
+                            assert t_got.tobytes() == t_want.tobytes()
+                            assert got.tobytes() == want.tobytes(), (part, fn.name, et)
+                        for s in seqs:
+                            rep = pq.isometry_check(w, fn, s, qv=qv, eval_times=et)
+                            times, sups, ivals = isometry_whole_grid(w, fn, s, qv, et)
+                            assert rep.eval_times.tobytes() == times.tobytes()
+                            assert rep.sup_distances.tobytes() == sups.tobytes()
+                            assert rep.integral_values.tobytes() == ivals.tobytes()
 
 
 class TestIsometry:
@@ -291,7 +363,7 @@ def isometry_whole_grid(path, fn, seq, qv=None, eval_times=None):
             stra = np.where(inside, x[eval_idx] - x[pidx[kin]], 0.0)
             rhs = cum[base] + np.where(inside, f1l[np.minimum(kin, len(f1l) - 1)] * stra**2, 0.0)
         else:
-            rhs = calculus._stieltjes_against_curve(f1l, part.times, qv, et)
+            rhs = stieltjes_loop(f1l, part.times, qv, et)
         sups.append(float(np.abs(lhs - rhs).max()))
         ivals.append(float(ipath[-1]))
         times = et
@@ -380,7 +452,7 @@ def ito_residual_level_oracle(path, fn, part, qv=None, eval_times=None):
             inside, f2l[np.minimum(kin, len(f2l) - 1)] * stra**2, 0.0
         )
     else:
-        stieltjes = calculus._stieltjes_against_curve(f2l, part.times, qv, et)
+        stieltjes = stieltjes_loop(f2l, part.times, qv, et)
     resid = np.asarray(fn.f(x[eval_idx])) - float(fn.f(x[0])) - integral - 0.5 * stieltjes
     return et, resid
 
@@ -506,6 +578,28 @@ class TestDyadicLevelStaysARange:
         part = self._level()
         pq.follmer_path(pq.gen_brownian(1, 10, 1.0), np.cos, part)
         assert "indices" not in vars(part)
+
+    def test_follmer_integral(self):
+        part = self._level()
+        pq.follmer_integral(pq.gen_brownian(1, 10, 1.0), np.cos, part, 321 / 1024)
+        assert "indices" not in vars(part)
+
+    def _curve(self, w):
+        return pq.qv_level(w, pq.gen_dyadic([8], 10, 1.0).level(8), np.arange(0, 65) / 64)
+
+    def test_ito_residual_level_with_curve(self):
+        w = pq.gen_brownian(1, 10, 1.0)
+        part = self._level()
+        pq.ito_residual_level(w, pq.function_catalogue("sin"), part, qv=self._curve(w),
+                              eval_times=[0.25, 321 / 1024, 1.0])
+        assert "indices" not in vars(part)
+
+    def test_isometry_check_with_curve(self):
+        w = pq.gen_brownian(1, 10, 1.0)
+        seq = pq.gen_dyadic([6], 10, 1.0)
+        pq.isometry_check(w, pq.function_catalogue("sin"), seq, qv=self._curve(w),
+                          eval_times=[0.25, 321 / 1024, 1.0])
+        assert "indices" not in vars(seq.level(6))
 
 
 def _never(x):

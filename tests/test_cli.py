@@ -388,6 +388,46 @@ class TestMonteCarloEngine:
         assert err.startswith("error: no reference level") and "seed" not in err
 
 
+class TestMonteCarloOnAPathFile:
+    """mc evaluates a path read from file at the file's horizon.
+
+    The config leaves path.T at its default 1.0 while the file holds T = 2.
+    """
+
+    def _run(self, tmp_path, experiment):
+        import pathqv as pq
+
+        path = pq.gen_brownian(4, 12, 2.0)
+        pq.io.write_path_binary(path, str(tmp_path / "w.pqv"))
+        doc = {"experiment": experiment, "seeds": [0, 2],
+               "path": {"file": str(tmp_path / "w.pqv")},
+               "partition": {"generator": "dyadic", "levels": [8, 10], "M": 12, "T": 2.0},
+               "analysis": {"function": "sin", "tol": 0.5}}
+        code = _run("mc", _write(tmp_path, doc), "--out-dir", str(tmp_path / "out"),
+                    "--workers", "1")
+        head, *rows = (tmp_path / "out" / "mc.csv").read_text().splitlines()
+        assert len(rows) == 2 and rows[0].split(",")[1:] == rows[1].split(",")[1:]
+        record = dict(zip(head.split(",")[1:], rows[0].split(",")[1:]))
+        return code, path, pq.gen_dyadic([8, 9, 10], 12, 2.0), record
+
+    def test_qv_at_the_file_horizon(self, tmp_path):
+        import pathqv as pq
+
+        code, path, seq, record = self._run(tmp_path, "qv")
+        val = float(pq.qv_level(path, seq.partitions[-1], [2.0]).values[-1])
+        assert record == {"abs_err": fmt_float(abs(val - 2.0)), "qv_T": fmt_float(val)}
+        assert code == 0
+
+    def test_integral_at_the_file_horizon(self, tmp_path):
+        import pathqv as pq
+
+        _, path, seq, record = self._run(tmp_path, "integrate")
+        fn = pq.function_catalogue("sin")
+        want = pq.follmer_integral(path, fn.f1, seq.partitions[-1], 2.0)
+        assert record["integral_a"] == fmt_float(want)
+        assert want != pq.follmer_integral(path, fn.f1, seq.partitions[-1], 1.0)
+
+
 class TestMissingSections:
     _PATH = {"kind": "brownian", "M": 8}
     _PART = {"generator": "dyadic", "levels": [2, 4], "M": 8}

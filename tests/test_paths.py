@@ -1,5 +1,6 @@
 import decimal
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -211,6 +212,23 @@ class TestMixed:
     def test_low_hurst_rejected(self):
         with pytest.raises(pq.ParameterError):
             pq.gen_mixed(0, 8, 1.0, 0.5, 1.0)
+
+    def test_peak_memory_is_that_of_the_fbm_part(self):
+        # drawing the Brownian part first kept its path alive through the fBm
+        # draw's peak: one path (0.5 MiB at M = 16) above gen_fbm's own peak
+        M = 16
+        pq.gen_mixed(1, M, 1.0, 0.75, 1.0)  # warm-up outside the traced calls
+        peaks = []
+        for gen in (lambda: pq.gen_fbm(1, M, 1.0, 0.75),
+                    lambda: pq.gen_mixed(1, M, 1.0, 0.75, 1.0)):
+            tracemalloc.start()
+            try:
+                gen()
+                peaks.append(tracemalloc.get_traced_memory()[1])
+            finally:
+                tracemalloc.stop()
+        path_bytes = 8 * (2**M + 1)
+        assert peaks[1] <= peaks[0] + path_bytes // 4
 
 
 class TestDeterministic:
