@@ -15,7 +15,9 @@ The matrix: master levels M = 8, 11, 14; Brownian, mixed (H = 0.75) and fBm
 random balanced sequences and both stopped to [0.3, 0.7], and dyadic level
 6 stopped to [5/64, 60/64] and held as a range that starts after 0; the
 default evaluation grid, [0.5, 1.0] and random on-grid times; every catalogue
-function, `square` (f1(x(0)) = 0 on paths from 0) included.  Invariance
+function, `square` (f1(x(0)) = 0 on paths from 0) included.  The roughness
+statistics are truncated at no t, at t = 1/16 (before the first point of every
+stopped level), at 0.5 and one master step before T.  Invariance
 checks take a balance threshold of 64, so the stopped random balanced
 sequence, whose end cells are cut short, is compared too, and so is the
 stopped range against the stopped dyadic sequence.  The ``ito`` family also
@@ -151,7 +153,7 @@ def digests(levels=(8, 11, 14)) -> dict:
             for seq, ref in zip(seqs, fine_of):
                 records = []
                 for n, coarse in zip(seq.level_ids, seq):
-                    for t in (None, 0.5):
+                    for t in (None, 1 / 16, 0.5, 1 - 2.0**-M):
                         for grid in grids[1:]:
                             stat = _record(hs["roughness"], pq.roughness_statistic, path,
                                            coarse, ref.partitions[0], t, grid)

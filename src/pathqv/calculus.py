@@ -17,15 +17,14 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from numbers import Real
 
 import numpy as np
 
 from .errors import ParameterError
 from .partitions import Partition, PartitionSequence, _require_same_grid
-from .paths import PathMeta, SampledPath, master_index_of
-from .quadvar import (QVCurve, _level_samples, _resolve_eval, _running_sum, _straddle_index,
-                      default_eval_indices)
+from .paths import PathMeta, SampledPath, _check_params, master_index_of
+from .quadvar import (QVCurve, _left_sum, _level_samples, _resolve_eval, _running_qv,
+                      _running_sum, default_eval_indices)
 
 
 # ---------------------------------------------------------------------------
@@ -53,15 +52,6 @@ def _abs_smooth(center: float, eps: float) -> FunctionTriple:
         return eps**2 / ((x - center) ** 2 + eps**2) ** 1.5
 
     return FunctionTriple(f"abs_smooth(a={center:g},eps={eps:g})", f, f1, f2)
-
-
-def _check_params(name: str, params: dict, allowed: tuple) -> None:
-    unknown = sorted(set(params) - set(allowed))
-    if unknown:
-        raise ParameterError(f"{name} takes the parameters {list(allowed)}, got {unknown}")
-    for key, value in params.items():
-        if isinstance(value, bool) or not isinstance(value, Real) or not math.isfinite(value):
-            raise ParameterError(f"{name} parameter {key} must be a finite real, got {value!r}")
 
 
 def function_catalogue(name: str, **params) -> FunctionTriple:
@@ -115,14 +105,19 @@ def _eval_grad(f1, xleft, dim):
     return g
 
 
+def _running_integral(g, dx, stra, inside, kin, base):
+    """``(cum, values)``: left sums of g . dx at the partition points, and at the
+    evaluation indices truncated by stra.  einsum keeps the signed zeros for d = 1.
+    """
+    cum = _running_sum(np.einsum("ij,ij->i", g, dx))
+    return cum, cum[base] + np.where(inside, np.einsum("ij,ij->i", g[kin], stra), 0.0)
+
+
 def _follmer_at(path: SampledPath, f1, part: Partition, eval_idx: np.ndarray) -> np.ndarray:
     """The running pathwise integral at the master indices eval_idx."""
-    xp, xe, k = _level_samples(path.samples, part, eval_idx)
+    xp, xe, inside, kin, base = _level_samples(path.samples, part, eval_idx)
     g = _eval_grad(f1, xp[:-1], path.dim)              # (N, d)
-    cum = _running_sum(np.einsum("ij,ij->i", g, xp[1:] - xp[:-1]))  # at each partition point
-    inside, kin, base = _straddle_index(k, part.n_intervals)
-    straddle = np.where(inside, np.einsum("ij,ij->i", g[kin], xe - xp[kin]), 0.0)
-    return cum[base] + straddle
+    return _running_integral(g, xp[1:] - xp[:-1], xe - xp[kin], inside, kin, base)[1]
 
 
 def follmer_integral(path: SampledPath, f1, part: Partition, t: float) -> float:
@@ -144,7 +139,7 @@ def _stieltjes_against_curve(f2_at_left, part: Partition, curve: QVCurve, eval_t
                              inside, kin, base):
     """Left sums of f2 against curve increments over partition intervals, truncated.
 
-    ``(inside, kin, base)`` are the caller's _straddle_index of eval_times.
+    ``(inside, kin, base)`` are the caller's _level_samples of eval_times.
     """
     q_at_part = curve.at(part.indices_at(np.arange(part.n_intervals + 1)) * part.master_step)
     cum = _running_sum(f2_at_left * np.diff(q_at_part))
@@ -185,15 +180,14 @@ def ito_residual_level(
     x = path.scalar()
     eval_idx = _resolve_eval(path, part, eval_times)
     et = eval_idx * path.master_step
-    xp, xe, k = _level_samples(x, part, eval_idx)
+    xp, xe, inside, kin, base = _level_samples(x, part, eval_idx)
     g = np.asarray(fn.f1(xp[:-1]))
     dx = xp[1:] - xp[:-1]
     f2l = np.asarray(fn.f2(xp[:-1]))
-    inside, kin, base = _straddle_index(k, part.n_intervals)
     stra = np.where(inside, xe - xp[kin], 0.0)
-    integral = _running_sum(g * dx)[base] + np.where(inside, g[kin] * stra, 0.0)
+    integral = _left_sum(g, dx, stra, inside, kin, base)
     if qv is None:
-        stieltjes = _running_sum(f2l * dx**2)[base] + np.where(inside, f2l[kin] * stra**2, 0.0)
+        stieltjes = _left_sum(f2l, dx**2, stra**2, inside, kin, base)
     else:
         stieltjes = _stieltjes_against_curve(f2l, part, qv, et, inside, kin, base)
     resid = np.asarray(fn.f(xe)) - float(fn.f(x[0])) - integral - 0.5 * stieltjes
@@ -256,21 +250,17 @@ def isometry_check(
     for part in seq:
         eval_idx = _resolve_eval(path, part, eval_times)
         et = eval_idx * path.master_step
-        xp, xe, k = _level_samples(path.samples, part, eval_idx)
+        xp, xe, inside, kin, base = _level_samples(path.samples, part, eval_idx)
         g = _eval_grad(fn.f1, xp[:-1], 1)                             # (N, 1)
         dx = xp[1:] - xp[:-1]
-        cum = _running_sum(np.einsum("ij,ij->i", g, dx))
-        inside, kin, base = _straddle_index(k, part.n_intervals)
         stra = xe - xp[kin]
-        gk = g[kin]
-        # the integral and its same-level QV at the evaluation indices, with
-        # the operations of follmer_path and _qv_values at those indices
-        ie = cum[base] + np.where(inside, np.einsum("ij,ij->i", gk, stra), 0.0)
-        lhs = _running_sum(np.diff(cum) ** 2)[base] + np.where(inside, ie - cum[kin], 0.0) ** 2
+        # the integral and its same-level QV at the evaluation indices, by
+        # the kernels of follmer_path and _qv_values
+        cum, ie = _running_integral(g, dx, stra, inside, kin, base)
+        lhs = _running_qv(cum, ie, inside, kin, base)
         f1l = g[:, 0] ** 2
         if qv is None:
-            rhs = (_running_sum(f1l * dx[:, 0] ** 2)[base]
-                   + np.where(inside, gk[:, 0] ** 2 * stra[:, 0] ** 2, 0.0))
+            rhs = _left_sum(f1l, dx[:, 0] ** 2, stra[:, 0] ** 2, inside, kin, base)
         else:
             rhs = _stieltjes_against_curve(f1l, part, qv, et, inside, kin, base)
         sups.append(float(np.abs(lhs - rhs).max()))
@@ -337,12 +327,14 @@ def local_time_discrete(
     if u[0] > x.min() or u[-1] < x.max():
         raise ParameterError("u_grid does not cover the path range")
     if t_grid is None:
-        t_idx = part.indices.copy()
+        t_idx = part.indices_at(np.arange(part.n_intervals + 1))
     else:
         t_idx = master_index_of(t_grid, path.master_level, path.horizon)
         if np.any(np.diff(t_idx) < 0):
             raise ParameterError("t_grid must be sorted")
-    pidx = part.indices
+    xp, xe, inside, kin, done = _level_samples(x, part, t_idx)  # done: complete intervals
+    # a row strictly inside an interval adds that interval's tent truncated at t
+    partial = inside & (part.indices_at(kin) < t_idx)
 
     # bincount adds its weights in input order from 0.0, so every node takes
     # acc first and then its tents in interval order: the same additions as
@@ -351,21 +343,20 @@ def local_time_discrete(
     u_nodes = np.arange(n_u)
     acc = np.zeros(n_u)
     values = np.empty((len(t_idx), n_u))
-    done = np.searchsorted(pidx[1:], t_idx, side="right")  # complete intervals per row
     j = b0 = b1 = 0  # intervals accumulated; tents of [b0, b1) expanded to pairs
-    for row, e in enumerate(t_idx):
+    for row in range(len(t_idx)):
         while j < done[row]:
             if j == b1:
                 b0, b1 = j, min(j + _TENT_BLOCK, done[-1])
-                nodes, vals, ends = _tent_pairs(u, x[pidx[b0 : b1 + 1]])
+                nodes, vals, ends = _tent_pairs(u, xp[b0 : b1 + 1])
             stop = min(done[row], b1)
             s0, s1 = ends[j - b0], ends[stop - b0]
             acc = np.bincount(np.concatenate([u_nodes, nodes[s0:s1]]),
                               weights=np.concatenate([acc, vals[s0:s1]]), minlength=n_u)
             j = stop
-        if j < len(pidx) - 1 and pidx[j] < e:
+        if partial[row]:
             row_vals = acc.copy()
-            _add_tent(row_vals, u, x[pidx[j]], x[pidx[j + 1]], x[e])
+            _add_tent(row_vals, u, xp[j], xp[j + 1], xe[row])
             values[row] = row_vals
         else:
             values[row] = acc
@@ -423,10 +414,9 @@ def occupation_check(
     bands = [(float(lo), float(hi)) for lo, hi in sets_a]
     bands.append((-math.inf, math.inf))
     t_idx = master_index_of(field.t_grid, path.master_level, path.horizon)
-    xp, xe, k = _level_samples(x, part, t_idx)
-    xl, dx = xp[:-1], np.diff(xp)
-    inside, kin, base = _straddle_index(k, part.n_intervals)
-    stra = np.where(inside, xe - xp[kin], 0.0)
+    xp, xe, inside, kin, base = _level_samples(x, part, t_idx)
+    xl, dx2 = xp[:-1], np.diff(xp) ** 2
+    stra2 = np.where(inside, xe - xp[kin], 0.0) ** 2
     lhs = np.empty((len(bands), len(t_idx)))
     rhs = np.empty_like(lhs)
     for si, (lo, hi) in enumerate(bands):
@@ -435,7 +425,7 @@ def occupation_check(
             raise ParameterError(f"band [{lo}, {hi}) covers fewer than 2 u nodes")
         lhs[si] = np.trapezoid(field.values[:, mask], u[mask], axis=1)
         ind = ((xl >= lo) & (xl < hi)).astype(np.float64)
-        rhs[si] = _running_sum(ind * dx**2)[base] + np.where(inside, ind[kin] * stra**2, 0.0)
+        rhs[si] = _left_sum(ind, dx2, stra2, inside, kin, base)
     matched = tuple(
         "full" if np.abs(lhs[i] - rhs[i]).sum() <= np.abs(lhs[i] - 0.5 * rhs[i]).sum()
         else "half"

@@ -15,6 +15,7 @@ import math
 import os
 import sys
 import time
+import types
 import typing
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
@@ -59,7 +60,7 @@ class PathConfig:
 @dataclass
 class PartitionConfig:
     generator: str = "dyadic"
-    levels: list = field(default_factory=lambda: [4, 10])
+    levels: list[int] = field(default_factory=lambda: [4, 10])
     M: int = 12
     T: float = 1.0
     k: int = 2
@@ -98,6 +99,9 @@ _TOP_KEYS = set(_SECTIONS) | {"experiment", "seeds"}
 
 
 def _has_type(value, kind) -> bool:
+    if typing.get_origin(kind) is list:  # list[X]: a JSON array of X
+        (item,) = typing.get_args(kind)
+        return isinstance(value, list) and all(_has_type(v, item) for v in value)
     if isinstance(value, bool):  # JSON true/false is never a number
         return kind is bool
     if kind is float:
@@ -113,9 +117,11 @@ def _from_dict(cls, data, where: str):
     if unknown:
         raise ParameterError(f"unknown keys in {where}: {sorted(unknown)}")
     for key, value in data.items():
-        kinds = typing.get_args(hints[key]) or (hints[key],)  # X | None -> (X, NoneType)
+        hint = hints[key]
+        kinds = typing.get_args(hint) if isinstance(hint, types.UnionType) else (hint,)
         if not any(_has_type(value, k) for k in kinds):
-            expected = " or ".join("null" if k is type(None) else k.__name__ for k in kinds)
+            expected = " or ".join("null" if k is type(None) else  # list[int] is not a type
+                                   k.__name__ if isinstance(k, type) else str(k) for k in kinds)
             raise ParameterError(f"{where}.{key} must be {expected}, got {value!r}")
         if isinstance(value, float) and not math.isfinite(value):  # JSON NaN, Infinity
             raise ParameterError(f"{where}.{key} must be finite, got {value!r}")

@@ -155,12 +155,6 @@ class Partition:
         return float(hi / lo)
 
     @property
-    def uniform_stride(self) -> int:
-        """Common index step when the partition is uniform, else 0."""
-        lo, hi = self._step_bounds
-        return lo if lo == hi else 0
-
-    @property
     def range_stride(self) -> int:
         """Index step when the indices are held as a range, else 0; reads no array."""
         r = self._points

@@ -12,6 +12,7 @@ import hashlib
 import math
 from dataclasses import dataclass, field
 from functools import cached_property
+from numbers import Real
 
 import numpy as np
 
@@ -272,6 +273,16 @@ def _weierstrass(t: np.ndarray, a: float, b: int) -> np.ndarray:
     return out
 
 
+def _check_params(name: str, params: dict, allowed: tuple) -> None:
+    """Refuse a parameter name outside allowed, or a value that is not a finite real."""
+    unknown = sorted(set(params) - set(allowed))
+    if unknown:
+        raise ParameterError(f"{name} takes the parameters {list(allowed)}, got {unknown}")
+    for key, value in params.items():
+        if isinstance(value, bool) or not isinstance(value, Real) or not math.isfinite(value):
+            raise ParameterError(f"{name} parameter {key} must be a finite real, got {value!r}")
+
+
 #: The parameters each deterministic kind accepts.
 _DETERMINISTIC_PARAMS = {"constant": ("value", "c"), "linear": ("slope",),
                          "weierstrass": ("a", "b"), "takagi": ()}
@@ -286,9 +297,7 @@ def gen_deterministic(kind: str, params: dict, M: int, T: float, d: int = 1) -> 
     allowed = _DETERMINISTIC_PARAMS.get(kind)
     if allowed is None:
         raise ParameterError(f"unknown deterministic kind {kind!r}")
-    unknown = sorted(set(params) - set(allowed))
-    if unknown:
-        raise ParameterError(f"{kind} takes the parameters {list(allowed)}, got {unknown}")
+    _check_params(kind, params, allowed)
     t = np.arange((1 << M) + 1) * (T / (1 << M))
     if kind == "constant":
         value = float(params.get("value", params.get("c", 0.0)))

@@ -75,22 +75,24 @@ class QVCurve:
 def _level_samples(x: np.ndarray, part: Partition, eval_idx: np.ndarray):
     """Samples at the partition points and at eval_idx, and each eval index's interval.
 
-    Returns ``(xp, xe, k)``.  A level held as a range (every dyadic level) is
-    read as a strided view of the samples and each evaluation index finds its
-    interval k by arithmetic; an array level is gathered once and searched,
-    without first testing its steps for uniformity.  Both agree with
-    ``searchsorted(indices, eval_idx, side="right") - 1``: k is negative
-    before the first point and N from the last point on.
+    Returns ``(xp, xe, inside, kin, base)``.  A level held as a range (every
+    dyadic level) is read as a strided view and each evaluation index finds
+    its interval k by arithmetic; an array level is gathered once and
+    searched.  Both give ``searchsorted(indices, eval_idx, "right") - 1``
+    where that is not negative.  ``inside`` marks k in [0, N), ``kin`` is k
+    there (0 elsewhere) and ``base``, k clipped below at 0, counts the
+    complete intervals before each evaluation index.
     """
-    first, stride = part.first_index, part.range_stride
+    first, stride, n_int = part.first_index, part.range_stride, part.n_intervals
     if stride:
         xp = x[first:part.last_index + 1:stride]        # (N + 1, d) view
-        k = np.minimum((eval_idx - first) // stride, part.n_intervals)
+        k = np.minimum((eval_idx - first) // stride, n_int)
     else:
         pidx = part.indices
         xp = x[pidx]
         k = np.searchsorted(pidx, eval_idx, side="right") - 1
-    return xp, x[eval_idx], k
+    inside = (k >= 0) & (k < n_int)
+    return xp, x[eval_idx], inside, np.where(inside, k, 0), np.maximum(k, 0)
 
 
 def _running_sum(terms: np.ndarray) -> np.ndarray:
@@ -105,18 +107,15 @@ def _running_sum(terms: np.ndarray) -> np.ndarray:
     return cum
 
 
-def _straddle_index(k: np.ndarray, n_int: int):
-    """``(inside, kin, base)`` for the interval indices k of _level_samples.
+def _left_sum(w, d, s, inside, kin, base) -> np.ndarray:
+    """Left sum of the weights w against the terms d, truncated by the straddle terms s.
 
-    ``inside`` marks an evaluation index within an interval that straddles
-    it, ``kin`` is that interval (0 elsewhere) and ``base`` the number of
-    complete intervals before it: k clipped below at 0.
+    ``(inside, kin, base)`` come from _level_samples; s is read only inside.
     """
-    inside = (k >= 0) & (k < n_int)
-    return inside, np.where(inside, k, 0), np.maximum(k, 0)
+    return _running_sum(w * d)[base] + np.where(inside, w[kin] * s, 0.0)
 
 
-def _running_qv(xp: np.ndarray, xe: np.ndarray, k: np.ndarray) -> np.ndarray:
+def _running_qv(xp, xe, inside, kin, base) -> np.ndarray:
     """Exact truncated-increment QV from the samples of _level_samples.
 
     A series (one column or 1-d) gives the scalar curve (n,), d columns the
@@ -126,7 +125,6 @@ def _running_qv(xp: np.ndarray, xe: np.ndarray, k: np.ndarray) -> np.ndarray:
     if xp.ndim == 2 and xp.shape[1] == 1:
         xp, xe = xp[:, 0], xe[:, 0]
     dx = xp[1:] - xp[:-1]                               # (N,) or (N, d)
-    inside, kin, base = _straddle_index(k, len(dx))
     if dx.ndim == 1:
         cum = _running_sum(np.square(dx, out=dx))
         straddle = np.where(inside, xe - xp[kin], 0.0)
@@ -160,17 +158,17 @@ def qv_matrix(path: SampledPath, part: Partition, eval_times=None) -> QVCurve:
     _require_same_grid(path, part)
     eval_idx = _resolve_eval(path, part, eval_times)
     d = path.dim
-    xp, xe, k = _level_samples(path.samples, part, eval_idx)
-    comp = [_running_qv(xp[:, i], xe[:, i], k) for i in range(d)]
+    xp, xe, *place = _level_samples(path.samples, part, eval_idx)  # (inside, kin, base)
+    comp = [_running_qv(xp[:, i], xe[:, i], *place) for i in range(d)]
     vals = np.empty((len(eval_idx), d, d))
     for i in range(d):
         vals[:, i, i] = comp[i]
         for j in range(i + 1, d):
-            pol = (_running_qv(xp[:, i] + xp[:, j], xe[:, i] + xe[:, j], k)
+            pol = (_running_qv(xp[:, i] + xp[:, j], xe[:, i] + xe[:, j], *place)
                    - comp[i] - comp[j]) / 2.0
             vals[:, i, j] = pol
             vals[:, j, i] = pol
-    direct = _running_qv(xp, xe, k)
+    direct = _running_qv(xp, xe, *place)
     scale = max(float(np.abs(direct).max()), 1.0)
     if not np.allclose(vals, direct, rtol=1e-9, atol=1e-12 * scale):
         raise IdentityCheckError("polarisation does not match the direct cross sum")
@@ -181,8 +179,8 @@ def qv_matrix(path: SampledPath, part: Partition, eval_times=None) -> QVCurve:
 class QVConvergence:
     level_ids: tuple
     eval_times: np.ndarray
-    sup_to_finest: np.ndarray     # sup |curve_n - curve_finest| per level
-    cauchy: np.ndarray            # sup |curve_{n+1} - curve_n| per adjacent pair
+    sup_to_finest: np.ndarray     # sup_t |c_n - c_finest| per level; c_n: qv_limit_diagnostic
+    cauchy: np.ndarray            # sup_t |c_{n+1} - c_n| per adjacent pair
     tol: float
     cauchy_at_tol: bool           # last two adjacent gaps below tol
 
@@ -190,7 +188,12 @@ class QVConvergence:
 def qv_limit_diagnostic(
     path: SampledPath, seq: PartitionSequence, eval_times=None, tol: float = 0.05
 ) -> QVConvergence:
-    """Across-level sup distances as a finite-level convergence diagnostic."""
+    """Across-level sup distances as a finite-level convergence diagnostic.
+
+    They are taken between scalar curves c_n: the QV curve of a scalar path,
+    and for d > 1 the largest absolute entry max_ij |QV_n(t)_ij| per time,
+    not the (larger or equal) sup-norm distance of the matrix curves.
+    """
     if len(seq) < 3:
         raise ParameterError("need at least 3 levels")
     _require_same_grid(path, seq)

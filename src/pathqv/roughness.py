@@ -30,7 +30,7 @@ from .errors import (
 )
 from .partitions import Partition, PartitionSequence, _require_same_grid
 from .paths import SampledPath, master_index_of
-from .quadvar import _qv_values, qv_level
+from .quadvar import _level_samples, _qv_values, qv_level
 
 
 @dataclass(frozen=True)
@@ -59,7 +59,7 @@ def grouping(coarse: Partition, fine: Partition) -> GroupingIndex:
     start = fine.first_index
     if coarse.first_index != start or coarse.last_index != fine.last_index:
         raise ParameterError("coarse and fine partitions must span the same interval")
-    stride = fine.uniform_stride
+    stride = fine.range_stride
     if stride:
         # fine points at or before each coarse point, what
         # searchsorted(fine.indices, coarse.indices, side="right") returns
@@ -122,23 +122,14 @@ def roughness_statistic(
     gi = grouping(coarse, fine)
     b = gi.boundaries
     x = path.samples
-    first, last = fine.first_index, fine.last_index
-    if t is not None:
-        e = int(master_index_of([t], path.master_level, path.horizon)[0])
-    else:
-        e = last
+    e = (fine.last_index if t is None
+         else int(master_index_of([t], path.master_level, path.horizon)[0]))
 
     # production path: per-cell identity on increments truncated at t
-    stride = fine.uniform_stride
-    if stride:
-        xf = x[first:last + 1:stride]                                # view, no gather
-        if e < last:
-            xf = xf.copy()
-            xf[max((e - first) // stride + 1, 0):] = x[e]            # x at min(index, e)
-    elif t is None:
-        xf = x[fine.indices]
-    else:
-        xf = x[np.minimum(fine.indices, e)]
+    xf, xe, inside, _, base = _level_samples(x, fine, np.array([e]))
+    if e < fine.last_index:
+        xf = xf.copy()                                               # xf may be a view of x
+        xf[int(base[0] + inside[0]):] = xe[0]                        # x at min(index, e)
     dxf = np.diff(xf, axis=0)                                        # (F, d)
     if path.dim == 1:
         q = dxf[:, 0]

@@ -261,9 +261,8 @@ class TestStieltjesAgainstCurve:
                 f2l = np.asarray(f2(w.scalar()[part.indices[:-1]]))
                 for eval_idx in grids:
                     et = eval_idx * w.master_step
-                    _, _, k = pq.quadvar._level_samples(w.samples, part, eval_idx)
-                    got = calculus._stieltjes_against_curve(
-                        f2l, part, curve, et, *calculus._straddle_index(k, part.n_intervals))
+                    _, _, *place = pq.quadvar._level_samples(w.samples, part, eval_idx)
+                    got = calculus._stieltjes_against_curve(f2l, part, curve, et, *place)
                     want = stieltjes_loop(f2l, part.times, curve, et)
                     assert got.tobytes() == want.tobytes(), (part, eval_idx)
 
@@ -572,6 +571,13 @@ class TestDyadicLevelStaysARange:
         fld = pq.local_time_discrete(w, self._level(), [0.25, 1.0], u)
         part = self._level()
         pq.occupation_check(fld, w, part, [(u[32], u[128])])
+        assert "indices" not in vars(part)
+
+    @pytest.mark.parametrize("t_grid", [None, [0.25, 321 / 1024, 1.0]])
+    def test_local_time_discrete(self, t_grid):
+        w = pq.gen_brownian(1, 10, 1.0)
+        part = self._level()
+        pq.local_time_discrete(w, part, t_grid, default_u_grid(w, n_u=256))
         assert "indices" not in vars(part)
 
     def test_follmer_path(self):

@@ -306,6 +306,22 @@ class TestConfigTypes:
         assert _run(command, _write(tmp_path, doc), "--out-dir", str(tmp_path / "out")) == 1
         assert capsys.readouterr().err == f"error: {section}.{key} must be finite, got {value!r}\n"
 
+    @pytest.mark.parametrize("section,value,message", [
+        ("partition", {"M": 8, "levels": ["a", 3]},
+         "partition.levels must be list[int], got ['a', 3]"),
+        ("partition", {"M": 8, "levels": [4.5, 6]},
+         "partition.levels must be list[int], got [4.5, 6]"),
+        ("partition", {"M": 8, "levels": [True, 6]},
+         "partition.levels must be list[int], got [True, 6]"),
+        ("path", {"kind": "linear", "M": 8, "params": {"slope": "abc"}},
+         "linear parameter slope must be a finite real, got 'abc'"),
+    ])
+    def test_wrongly_typed_values_exit_one(self, tmp_path, capsys, section, value, message):
+        doc = {"path": {"kind": "brownian", "M": 8}, "partition": {"M": 8, "levels": [4, 6]}}
+        doc[section] = value
+        assert _run("qv", _write(tmp_path, doc), "--out-dir", str(tmp_path / "out")) == 1
+        assert capsys.readouterr().err == f"error: {message}\n"
+
     def test_int_for_float_and_null_for_optional_accepted(self, tmp_path):
         section = {"kind": "brownian", "seed": 1, "M": 8, "T": 2, "H": None, "file": None}
         assert self._gen_path(tmp_path, section) == 0

@@ -65,7 +65,7 @@ class TestMasterLevelRange:
 class TestLazyDyadic:
     """Dyadic levels are held as ranges; they must read as the old arrays."""
 
-    SCALARS = ("n_intervals", "mesh", "min_step", "ratio", "uniform_stride", "span")
+    SCALARS = ("n_intervals", "mesh", "min_step", "ratio", "span")
 
     @pytest.mark.parametrize("M", [4, 14, 23])
     def test_matches_the_array_form(self, M):

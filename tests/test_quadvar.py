@@ -179,10 +179,17 @@ class TestRunningSum:
         got = pq.quadvar._running_sum(terms)
         assert got.shape == want.shape and got.tobytes() == want.tobytes()
 
-    def test_straddle_index_matches_nested_where(self):
-        n_int = 5
-        k = np.arange(-4, n_int + 1)
-        inside, kin, base = pq.quadvar._straddle_index(k, n_int)
+    @pytest.mark.parametrize("held", [range, np.array], ids=["range", "array"])
+    def test_level_samples_place_like_nested_where(self, held):
+        # a range that starts after 0: k runs below -1 there before the first point
+        pts = range(48, 977, 16)
+        part = pq.Partition(pts if held is range else np.array(pts), 10, 1.0)
+        eval_idx = np.array([0, 31, 47, 48, 49, 64, 975, 976, 977, 1024])
+        x = np.arange(1025.0)
+        xp, xe, inside, kin, base = pq.quadvar._level_samples(x, part, eval_idx)
+        k = np.searchsorted(np.array(pts), eval_idx, side="right") - 1
+        n_int = part.n_intervals
+        assert np.array_equal(xp, x[48:977:16]) and np.array_equal(xe, x[eval_idx])
         assert np.array_equal(inside, (k >= 0) & (k < n_int))
         assert np.array_equal(kin, np.where(inside, k, 0))
         assert np.array_equal(base, np.where(k < 0, 0, np.where(inside, kin, n_int)))

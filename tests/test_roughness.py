@@ -209,11 +209,19 @@ class TestRoughnessStatistic:
         # the reference squares the fine increments into a fresh array
         M = 12
         w = pq.gen_mixed(3, M, 1.0, 0.75, 0.5)
-        coarse = pq.gen_random_balanced(4, [5], M, 1.0, 3.0).level(5)
-        fines = [pq.gen_dyadic([10], M, 1.0).level(10),                # strided view of x
-                 pq.gen_random_balanced(6, [9], M, 1.0, 3.0).level(9)]  # gathered x
-        for fine in fines:
-            for t in (None, 0.5 + 3 * 2.0**-M):                         # truncated at t
+        balanced = pq.gen_random_balanced(4, [5], M, 1.0, 3.0)
+        dyadic = pq.gen_dyadic([10], M, 1.0)
+        ends = (5 / 64, 60 / 64)                  # on the level-10 grid: 320 and 3840
+        stopped = pq.stop_partition(balanced, ends).level(5)
+        cases = [(balanced.level(5), dyadic.level(10)),                       # strided view
+                 (balanced.level(5),
+                  pq.gen_random_balanced(6, [9], M, 1.0, 3.0).level(9)),     # gathered
+                 (stopped, pq.stop_partition(dyadic, ends).level(10)),       # uniform array
+                 (stopped, pq.Partition(range(320, 3841, 4), M, 1.0))]       # range after 0
+        for coarse, fine in cases:
+            # no t, t before the first point of the stopped levels, inside, in the
+            # last interval
+            for t in (None, 1 / 16, 0.5 + 3 * 2.0**-M, (fine.last_index - 1) * 2.0**-M):
                 got = pq.roughness_statistic(w, coarse, fine, t=t)
                 gi = pq.roughness.grouping(coarse, fine)
                 b = gi.boundaries
