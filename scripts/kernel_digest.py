@@ -32,7 +32,13 @@ message, and the run goes on.  The ``io`` family hashes the exact text of
 every CSV writer, each written to a ``StringIO``: the QV CSV of each
 sequence's ``qv_level`` curves per path and of its 3-d ``qv_matrix`` curves,
 and the path, local-time, residual, roughness and partition CSVs of the
-matrix's outputs.  Stdlib plus numpy.
+matrix's outputs.  The ``mc`` family hashes the records of the Monte Carlo
+engine (``pathqv.cli.run_seeds``, one worker, three seeds) on each path kind
+at each M: ``qv`` on dyadic and Lebesgue levels, ``roughness``, ``integrate``
+with and without ``partition_b``, and ``invariance`` against random balanced
+levels, against dyadic levels with no partner for the finest A level (so the
+record reads a coarser pair), against Lebesgue levels, unbalanced ones among
+them, and against levels with no admissible pair.  Stdlib plus numpy.
 """
 
 from __future__ import annotations
@@ -47,8 +53,9 @@ import numpy as np
 import pathqv as pq
 from pathqv import io as pio
 from pathqv.calculus import default_u_grid
+from pathqv.cli import parse_config, run_seeds
 
-FAMILIES = ("qv", "invariance", "roughness", "localtime", "ito", "isometry", "io")
+FAMILIES = ("qv", "invariance", "roughness", "localtime", "ito", "isometry", "io", "mc")
 FUNCTIONS = ("square", "cubic", "sin", "exp", "identity", "abs_smooth")
 
 
@@ -117,6 +124,40 @@ def _integral_times(part) -> list:
     return [1 / 16, mid, mid + part.master_step, part.horizon]
 
 
+def _mc_configs(M: int) -> list:
+    """(experiment, config) pairs of the Monte Carlo engine on each path kind at M."""
+    dyadic = {"generator": "dyadic", "levels": [2, M - 2], "M": M}
+    balanced = {"generator": "random_balanced", "levels": [M - 6, M - 2], "M": M, "seed": 7,
+                "c_target": 3.0}
+    coarse = {"generator": "dyadic", "levels": [2, M - 5], "M": M}  # no partner for M - 2
+    finest = {"generator": "dyadic", "levels": [M - 3, M - 2], "M": M}
+    rough = {"generator": "random_balanced", "levels": [2, 4], "M": M, "seed": 7,
+             "c_target": 3.0}
+    paths = [{"kind": "brownian", "M": M}, {"kind": "fbm", "M": M, "H": 0.3},
+             {"kind": "mixed", "M": M, "H": 0.75, "delta": 0.5}]
+    runs = [("qv", {"partition": dyadic}),
+            ("qv", {"partition": {"generator": "lebesgue", "lebesgue_n": 2, "M": M}}),
+            ("roughness", {"partition": rough, "analysis": {"beta": 0.5}}),
+            ("integrate", {"partition": dyadic, "analysis": {"function": "sin"}}),
+            ("integrate", {"partition": dyadic, "partition_b": balanced,
+                           "analysis": {"function": "cubic"}}),
+            ("invariance", {"partition": dyadic, "partition_b": balanced}),
+            ("invariance", {"partition": dyadic, "partition_b": coarse}),
+            ("invariance", {"partition": finest, "partition_b": {**coarse, "levels": [2, 3]}})]
+    for n, threshold in ((1, 8.0), (2, 1e3)):  # unbalanced Lebesgue levels refused at 8
+        runs.append(("invariance", {
+            "partition": dyadic, "partition_b": {"generator": "lebesgue", "lebesgue_n": n, "M": M},
+            "analysis": {"balance_threshold": threshold}}))
+    return [(experiment, dict(doc, path=path, experiment=experiment, seeds=[M, M + 3]))
+            for path in paths for experiment, doc in runs]
+
+
+def _mc_records(experiment: str, doc: dict) -> list:
+    """run_seeds on one worker, each record as its items in key order."""
+    cfg = parse_config(doc)
+    return [(seed, sorted(rec.items())) for seed, rec in run_seeds(experiment, cfg, cfg["seeds"])]
+
+
 def digests(levels=(8, 11, 14)) -> dict:
     """SHA-256 hex digest per kernel family over the matrix at the given M."""
     hs = {name: hashlib.sha256() for name in FAMILIES}
@@ -182,6 +223,8 @@ def digests(levels=(8, 11, 14)) -> dict:
                                 _text(hs["io"], pio.write_residual_csv, residual)
                             _record(hs["isometry"], pq.isometry_check, path, fn, seq, curve,
                                     grid)
+        for experiment, doc in _mc_configs(M):
+            _record(hs["mc"], _mc_records, experiment, doc)
         for path in paths + [w3]:
             for seq in seqs:
                 for part in seq:

@@ -29,14 +29,32 @@ from .calculus import (
     follmer_integral,
     function_catalogue,
     ito_residual,
+    ito_residual_level,
     local_time_discrete,
     occupation_check,
     tanaka_residual,
 )
 from .errors import ParameterError, PQVError
 from .partitions import PartitionSequence, gen_dyadic, gen_kadic, gen_lebesgue, gen_random_balanced
-from .paths import gen_brownian, gen_deterministic, gen_fbm, gen_mixed
-from .quadvar import invariance_check, qv_level, qv_limit_diagnostic, qv_matrix
+from .paths import (
+    _check_fbm_args,
+    _fgn_scale,
+    _gen_fbm,
+    _gen_mixed,
+    gen_brownian,
+    gen_deterministic,
+    gen_fbm,
+    gen_mixed,
+)
+from .quadvar import (
+    _MESH_MATCH_CAP,
+    _pair_levels,
+    default_eval_indices,
+    invariance_check,
+    qv_level,
+    qv_limit_diagnostic,
+    qv_matrix,
+)
 from .roughness import roughness_statistic, select_dyadic_subsequence
 
 
@@ -370,10 +388,26 @@ def cmd_invariance(cfg: dict, out_dir: FsPath, args) -> int:
 
 # --- Monte Carlo ------------------------------------------------------------
 
+def _fgn_weights(cfg: PathConfig):
+    """The fGn weights _fgn_scale(M, H) that every seed of an fbm or mixed path
+    draws with, read-only; None when no seed draws fGn, or when the generator
+    refuses the path (each seed then raises the error, naming the seed)."""
+    if cfg.file or cfg.H is None or not (cfg.kind == "fbm" or (cfg.kind == "mixed" and cfg.delta)):
+        return None
+    try:
+        _check_fbm_args(0, cfg.M, cfg.T, cfg.H)
+        scale = _fgn_scale(cfg.M, cfg.H)
+    except ParameterError:
+        return None
+    scale.setflags(write=False)
+    return scale
+
+
 def _mc_setup(experiment: str, cfg: dict) -> dict:
     """What every seed shares, built once: partitions, the roughness selection,
-    the integrand and a path read from file.  A Lebesgue sequence depends on
-    the path, so it stays None here and is built per seed."""
+    the integrand, a path read from file and the fGn weights of an fbm or mixed
+    path.  A Lebesgue sequence depends on the path, so it stays None here and
+    is built per seed."""
     keys = ["partition"]
     if experiment == "invariance" or (experiment == "integrate" and "partition_b" in cfg):
         keys.append("partition_b")
@@ -383,6 +417,7 @@ def _mc_setup(experiment: str, cfg: dict) -> dict:
                     for k in keys}}
     if cfg["path"].file:
         ctx["path"] = io.read_path_binary(cfg["path"].file)
+    ctx["fgn_scale"] = _fgn_weights(cfg["path"])
     if experiment == "integrate":
         ctx["fn"] = function_catalogue(ana.function, **ana.fn_params)
     if experiment == "roughness" and ctx["seqs"]["partition"] is not None:
@@ -390,9 +425,25 @@ def _mc_setup(experiment: str, cfg: dict) -> dict:
     return ctx
 
 
+def _mc_path(cfg: PathConfig, seed: int, ctx: dict):
+    """The path of one seed: build_path, on the weights of ctx when it holds them."""
+    if "path" in ctx:
+        return ctx["path"]
+    if ctx["fgn_scale"] is None:
+        return build_path(cfg, seed)
+    if cfg.kind == "fbm":
+        return _gen_fbm(seed, cfg.M, cfg.T, cfg.H, ctx["fgn_scale"])
+    return _gen_mixed(seed, cfg.M, cfg.T, cfg.H, cfg.delta, ctx["fgn_scale"])
+
+
+def _one_level(seq: PartitionSequence, n: int) -> PartitionSequence:
+    return PartitionSequence((seq.level(n),), (n,), seq.generator_meta, seq.generator_params)
+
+
 def _mc_single(experiment: str, seed: int, cfg: dict, ctx: dict) -> dict:
-    """One seed: build the path (and any Lebesgue sequence), then run the kernel."""
-    path = ctx["path"] if "path" in ctx else build_path(cfg["path"], seed)
+    """One seed: build the path (and any Lebesgue sequence), then compute what
+    the record keeps and nothing else."""
+    path = _mc_path(cfg["path"], seed, ctx)
     seqs = {k: build_partitions(cfg[k], path) if seq is None else seq
             for k, seq in ctx["seqs"].items()}
     seq_a, seq_b = seqs["partition"], seqs.get("partition_b")
@@ -403,17 +454,24 @@ def _mc_single(experiment: str, seed: int, cfg: dict, ctx: dict) -> dict:
         target = ana.target if ana.target is not None else T
         return {"qv_T": val, "abs_err": abs(val - target)}
     if experiment == "invariance":
-        rep = invariance_check(path, seq_a, seq_b, tol=ana.tol,
+        # the record keeps the sup distance at the finest matched pair: pair the
+        # full sequences as invariance_check does, then check only that pair
+        pairs, mesh_a, _ = _pair_levels(path, seq_a, seq_b, ana.balance_threshold,
+                                        _MESH_MATCH_CAP)
+        na, nb = pairs[int(np.argmin(mesh_a))]
+        rep = invariance_check(path, _one_level(seq_a, na), _one_level(seq_b, nb),
                                balance_threshold=ana.balance_threshold)
-        finest = int(np.argmin(rep.mesh_a))
-        return {"sup_distance": float(rep.sup_distances[finest])}
+        return {"sup_distance": float(rep.sup_distances[0])}
     if experiment == "integrate":
         fn = ctx["fn"]
         out = {"integral_a": follmer_integral(path, fn.f1, seq_a.partitions[-1], T)}
         if seq_b is not None:
             out["integral_b"] = follmer_integral(path, fn.f1, seq_b.partitions[-1], T)
             out["abs_diff"] = abs(out["integral_a"] - out["integral_b"])
-        out["residual_sup"] = float(ito_residual(path, fn, seq_a).sup[-1])
+        # the finest row of ito_residual, on the grid it evaluates every level on
+        grid = default_eval_indices(path, None) * path.master_step
+        _, resid = ito_residual_level(path, fn, seq_a.partitions[-1], None, grid)
+        out["residual_sup"] = float(np.abs(resid).max())
         return out
     if "selection" in ctx:
         reference, sel = ctx["selection"]
@@ -446,12 +504,19 @@ def run_seeds(experiment: str, cfg: dict, seeds, workers: int = 1) -> list:
         return list(pool.map(run, seeds))
 
 
+def _default_workers() -> int:
+    """The CPUs this process may run on (the machine's count where the OS cannot
+    say), at most 8."""
+    affinity = getattr(os, "sched_getaffinity", None)
+    return min(len(affinity(0)) if affinity else os.cpu_count() or 1, 8)
+
+
 def cmd_mc(cfg: dict, out_dir: FsPath, args) -> int:
     t0 = time.perf_counter()
     if "experiment" not in cfg or "seeds" not in cfg:
         raise ParameterError("mc needs 'experiment' and 'seeds' keys")
     experiment = cfg["experiment"]
-    n_workers = max(1, args.workers if args.workers is not None else min(os.cpu_count() or 1, 8))
+    n_workers = max(1, args.workers if args.workers is not None else _default_workers())
     results = run_seeds(experiment, cfg, cfg["seeds"], n_workers)
 
     keys = sorted(results[0][1])
@@ -542,7 +607,8 @@ def main(argv=None) -> int:
         p.add_argument("--out-dir", default=None, help="output directory")
         p.add_argument("--seed", type=int, default=None, help="override path seed")
         p.add_argument("--workers", type=int, default=None,
-                       help="mc worker threads (default: the CPU count, at most 8)")
+                       help="mc worker threads (default: the CPUs this process may "
+                            "run on, at most 8)")
     p = sub.add_parser("report")
     p.add_argument("report", help="report.json produced by a previous run")
 

@@ -202,25 +202,30 @@ def _fgn_scale(M: int, H: float) -> np.ndarray:
     return np.sqrt(scale, out=scale)
 
 
-def _fgn_circulant(rng: np.random.Generator, M: int, H: float) -> np.ndarray:
+def _fgn_circulant(rng: np.random.Generator, M: int, scale: np.ndarray) -> np.ndarray:
     """Exact fGn sample of length n = 2^M by the real Davies-Harte draw: a
-    Hermitian half-spectrum of normals, shaped by the eigenvalue weights, taken
-    through one irfft (which ignores the imaginary parts at k = 0 and n)."""
+    Hermitian half-spectrum of normals, shaped by the eigenvalue weights
+    ``_fgn_scale(M, H)``, taken through one irfft (which ignores the imaginary
+    parts at k = 0 and n).  The weights are only read."""
     n = 1 << M
-    scale = _fgn_scale(M, H)  # first, so its temporaries never meet the draw
     z = rng.standard_normal(2 * n + 2).view(np.complex128)
     z *= scale
     return np.fft.irfft(z, 2 * n)[:n]
 
 
-def gen_fbm(seed: int, M: int, T: float, H: float) -> SampledPath:
-    """Fractional Brownian path with Hurst parameter H, exact in distribution by
-    circulant embedding (Davies-Harte), which is nonnegative definite for every H."""
+def _check_fbm_args(seed, M, T, H) -> None:
     _check_gen_args(seed, M, T)
     if not 0.0 < H < 1.0:
         raise ParameterError(f"Hurst parameter must lie in (0,1), got {H}")
+
+
+def _gen_fbm(seed: int, M: int, T: float, H: float, scale=None) -> SampledPath:
+    """gen_fbm, drawn with the weights scale = _fgn_scale(M, H) when given."""
+    _check_fbm_args(seed, M, T, H)
+    if scale is None:
+        scale = _fgn_scale(M, H)  # first, so its temporaries never meet the draw
     n = 1 << M
-    fgn = _fgn_circulant(np.random.default_rng(seed), M, H)
+    fgn = _fgn_circulant(np.random.default_rng(seed), M, scale)
     samples = np.empty(n + 1)
     samples[0] = 0.0
     inc = samples[1:]  # increments scaled and summed in the output buffer
@@ -229,13 +234,14 @@ def gen_fbm(seed: int, M: int, T: float, H: float) -> SampledPath:
     return SampledPath(T, int(M), 1, samples, PathMeta("fbm", seed, {"H": H}))
 
 
-def gen_mixed(seed: int, M: int, T: float, H: float, delta: float) -> SampledPath:
-    """Brownian path plus delta times an independent fBM path (H > 1/2).
+def gen_fbm(seed: int, M: int, T: float, H: float) -> SampledPath:
+    """Fractional Brownian path with Hurst parameter H, exact in distribution by
+    circulant embedding (Davies-Harte), which is nonnegative definite for every H."""
+    return _gen_fbm(seed, M, T, H)
 
-    Sub-seeds are derived deterministically from the given seed, so the
-    delta=0 case reproduces gen_brownian(derive_subseed(seed, "mixed-bm"), ...)
-    sample for sample.
-    """
+
+def _gen_mixed(seed: int, M: int, T: float, H: float, delta: float, scale=None) -> SampledPath:
+    """gen_mixed, its fBm part drawn with the weights scale = _fgn_scale(M, H) when given."""
     _check_gen_args(seed, M, T)
     if H <= 0.5:
         raise ParameterError(f"mixed paths require H > 1/2, got {H}")
@@ -246,10 +252,20 @@ def gen_mixed(seed: int, M: int, T: float, H: float, delta: float) -> SampledPat
         samples = gen_brownian(bm_seed, M, T, 1).samples.copy()
     else:
         # the fBm part first, so the Brownian path is not held through its peak
-        samples = delta * gen_fbm(derive_subseed(seed, "mixed-fbm"), M, T, H).samples
+        samples = delta * _gen_fbm(derive_subseed(seed, "mixed-fbm"), M, T, H, scale).samples
         samples += gen_brownian(bm_seed, M, T, 1).samples
     meta = PathMeta("mixed", seed, {"H": H, "delta": delta})
     return SampledPath(T, int(M), 1, samples, meta)
+
+
+def gen_mixed(seed: int, M: int, T: float, H: float, delta: float) -> SampledPath:
+    """Brownian path plus delta times an independent fBM path (H > 1/2).
+
+    Sub-seeds are derived deterministically from the given seed, so the
+    delta=0 case reproduces gen_brownian(derive_subseed(seed, "mixed-bm"), ...)
+    sample for sample.
+    """
+    return _gen_mixed(seed, M, T, H, delta)
 
 
 def _takagi(t: np.ndarray) -> np.ndarray:
@@ -309,11 +325,12 @@ def gen_deterministic(kind: str, params: dict, M: int, T: float, d: int = 1) -> 
         params = {"slope": slope}
     elif kind == "weierstrass":
         a = float(params.get("a", 0.5))
-        b = int(params.get("b", 7))
+        b = params.get("b", 7)
         if not 0.0 < a < 1.0:
             raise ParameterError(f"weierstrass a must lie in (0,1), got {a}")
-        if b < 3 or b % 2 == 0:
+        if b != int(b) or b < 3 or int(b) % 2 == 0:  # 7.0 is 7; 7.5 is refused, not cut
             raise ParameterError(f"weierstrass b must be an odd integer >= 3, got {b}")
+        b = int(b)
         if a * b <= 1.0:
             raise ParameterError(f"weierstrass requires a*b > 1, got {a * b}")
         samples = _weierstrass(t, a, b)

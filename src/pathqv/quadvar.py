@@ -229,20 +229,17 @@ def default_qv_tol(mesh: float) -> float:
     return 3.0 * np.sqrt(2.0 * mesh)
 
 
-def invariance_check(
-    path: SampledPath,
-    seq_a: PartitionSequence,
-    seq_b: PartitionSequence,
-    eval_times=None,
-    tol: float | None = None,
-    balance_threshold: float = 8.0,
-    mesh_match_cap: float = 4.0,
-) -> InvarianceReport:
-    """Sup distance between QV curves along two balanced sequences.
+#: Largest mesh ratio of a level pair that invariance_check admits by default.
+_MESH_MATCH_CAP = 4.0
 
-    Levels are paired by nearest log-mesh; a pair is admissible when the mesh
-    ratio stays within mesh_match_cap.  The verdict compares the finest
-    admissible pair against tol (default CLT-scaled in the finest mesh).
+
+def _pair_levels(path: SampledPath, seq_a: PartitionSequence, seq_b: PartitionSequence,
+                 balance_threshold: float, mesh_match_cap: float):
+    """The mesh-matched level pairs of invariance_check: (pairs, mesh_a, mesh_b) lists.
+
+    Both sequences must sit on the path's grid and be balanced.  Each level of
+    A is paired with the B level of nearest log-mesh, when the mesh ratio
+    stays within mesh_match_cap; the finest pair is the argmin of mesh_a.
     """
     for name, s in (("A", seq_a), ("B", seq_b)):
         _require_same_grid(path, s)
@@ -265,6 +262,25 @@ def invariance_check(
         raise PairingError(
             f"no level of B has mesh within x{mesh_match_cap:g} of any level of A"
         )
+    return pairs, ma, mb
+
+
+def invariance_check(
+    path: SampledPath,
+    seq_a: PartitionSequence,
+    seq_b: PartitionSequence,
+    eval_times=None,
+    tol: float | None = None,
+    balance_threshold: float = 8.0,
+    mesh_match_cap: float = _MESH_MATCH_CAP,
+) -> InvarianceReport:
+    """Sup distance between QV curves along two balanced sequences.
+
+    Levels are paired by nearest log-mesh; a pair is admissible when the mesh
+    ratio stays within mesh_match_cap.  The verdict compares the finest
+    admissible pair against tol (default CLT-scaled in the finest mesh).
+    """
+    pairs, ma, mb = _pair_levels(path, seq_a, seq_b, balance_threshold, mesh_match_cap)
     eval_idx = _resolve_eval(path, None, eval_times)
     # pairs follow A's levels; with both sequences ordered by mesh, a B level
     # serving two pairs serves adjacent ones, so holding the last B curve

@@ -205,16 +205,25 @@ class TestMonteCarlo:
         extra = () if workers is None else ("--workers", workers)
         assert _run("mc", self._mc_cfg(tmp_path), "--out-dir", str(out), *extra) == 0
         report = json.loads((out / "report.json").read_text())
-        expect = min(os.cpu_count() or 1, 8) if workers is None else max(1, int(workers))
+        expect = (min(len(os.sched_getaffinity(0)), 8) if workers is None
+                  else max(1, int(workers)))
         assert report["timings"]["workers"] == expect
 
+    def test_default_workers_follow_the_cpu_affinity(self, tmp_path, monkeypatch):
+        monkeypatch.setattr(cli.os, "sched_getaffinity", lambda pid: {0})
+        out = tmp_path / "out"
+        assert _run("mc", self._mc_cfg(tmp_path), "--out-dir", str(out)) == 0
+        assert json.loads((out / "report.json").read_text())["timings"]["workers"] == 1
 
-# Monte Carlo configs on small grids, one per experiment, each paired with a
-# per-seed loop that rebuilds the path and every partition sequence from the
-# public kernels.
+
+# Monte Carlo configs on small grids, one per experiment and path kind, each
+# paired with a per-seed loop that rebuilds the path and every partition
+# sequence from the public kernels.
 _DYADIC = {"generator": "dyadic", "levels": [6, 10], "M": 12}
 _BALANCED = {"generator": "random_balanced", "levels": [6, 10], "M": 12, "seed": 7,
              "c_target": 3.0}
+_FBM = {"kind": "fbm", "M": 12, "H": 0.3}
+_MIXED = {"kind": "mixed", "M": 12, "H": 0.75, "delta": 0.5}
 _MC_CASES = {
     "qv": {"experiment": "qv", "path": {"kind": "brownian", "M": 12}, "partition": _DYADIC},
     "invariance": {"experiment": "invariance", "path": {"kind": "brownian", "M": 12},
@@ -229,36 +238,85 @@ _MC_CASES = {
     "lebesgue": {"experiment": "qv", "path": {"kind": "brownian", "M": 14},
                  "partition": {"generator": "lebesgue", "lebesgue_n": 3, "M": 14},
                  "analysis": {"tol": 1.0}},
+    "fbm_qv": {"experiment": "qv", "path": _FBM, "partition": _DYADIC},
+    "fbm_invariance": {"experiment": "invariance", "path": _FBM, "partition": _DYADIC,
+                       "partition_b": _BALANCED},
+    "mixed_integrate": {"experiment": "integrate", "path": _MIXED, "partition": _DYADIC,
+                        "partition_b": _BALANCED, "analysis": {"function": "cubic"}},
+    "mixed_invariance": {"experiment": "invariance", "path": _MIXED, "partition": _DYADIC,
+                         "partition_b": _BALANCED},
+    # level 10 of A has no level of B within x4, so the record reads the pair (9, 7)
+    "no_finest_partner": {"experiment": "invariance", "path": {"kind": "brownian", "M": 12},
+                          "partition": _DYADIC,
+                          "partition_b": {"generator": "dyadic", "levels": [6, 7], "M": 12}},
+    "lebesgue_b": {"experiment": "invariance", "path": {"kind": "brownian", "M": 12},
+                   "partition": {"generator": "dyadic", "levels": [2, 10], "M": 12},
+                   "partition_b": {"generator": "lebesgue", "lebesgue_n": 2, "M": 12},
+                   "analysis": {"balance_threshold": 1e3}},
 }
 
 
-def _reference_record(case: str, seed: int) -> dict:
+def _reference_path(section: dict, seed: int):
     import pathqv as pq
 
-    M = _MC_CASES[case]["path"]["M"]
-    path = pq.gen_brownian(seed, M, 1.0)
-    dyadic = pq.gen_dyadic(range(6, 11), 12, 1.0)
-    balanced = pq.gen_random_balanced(7, range(6, 11), 12, 1.0, 3.0)
-    if case == "qv":
-        val = float(pq.qv_level(path, dyadic.partitions[-1], [1.0]).values[-1])
+    M = section["M"]
+    if section["kind"] == "fbm":
+        return pq.gen_fbm(seed, M, 1.0, section["H"])
+    if section["kind"] == "mixed":
+        return pq.gen_mixed(seed, M, 1.0, section["H"], section["delta"])
+    return pq.gen_brownian(seed, M, 1.0)
+
+
+def _reference_seq(section: dict, path):
+    import pathqv as pq
+
+    if section["generator"] == "lebesgue":
+        n = section["lebesgue_n"]
+        return pq.PartitionSequence((pq.gen_lebesgue(path, n),), (n,), "lebesgue")
+    levels = range(section["levels"][0], section["levels"][1] + 1)
+    if section["generator"] == "dyadic":
+        return pq.gen_dyadic(levels, section["M"], 1.0)
+    return pq.gen_random_balanced(section["seed"], levels, section["M"], 1.0,
+                                  section["c_target"])
+
+
+def _reference_record(case: str, seed: int) -> dict:
+    """The record of one seed, by the full public kernels."""
+    import pathqv as pq
+
+    doc = _MC_CASES[case]
+    ana = doc.get("analysis", {})
+    path = _reference_path(doc["path"], seed)
+    seq = _reference_seq(doc["partition"], path)
+    seq_b = _reference_seq(doc["partition_b"], path) if "partition_b" in doc else None
+    if doc["experiment"] == "qv":
+        val = float(pq.qv_level(path, seq.partitions[-1], [1.0]).values[-1])
         return {"qv_T": val, "abs_err": abs(val - 1.0)}
-    if case == "lebesgue":
-        val = float(pq.qv_level(path, pq.gen_lebesgue(path, 3), [1.0]).values[-1])
-        return {"qv_T": val, "abs_err": abs(val - 1.0)}
-    if case == "invariance":
-        rep = pq.invariance_check(path, dyadic, balanced, tol=0.1)
+    if doc["experiment"] == "invariance":
+        rep = pq.invariance_check(path, seq, seq_b, tol=ana.get("tol"),
+                                  balance_threshold=ana.get("balance_threshold", 8.0))
         return {"sup_distance": float(rep.sup_distances[int(np.argmin(rep.mesh_a))])}
-    if case == "integrate":
-        fn = pq.function_catalogue("sin")
-        a = pq.follmer_integral(path, fn.f1, dyadic.partitions[-1], 1.0)
-        b = pq.follmer_integral(path, fn.f1, balanced.partitions[-1], 1.0)
+    if doc["experiment"] == "integrate":
+        fn = pq.function_catalogue(ana["function"])
+        a = pq.follmer_integral(path, fn.f1, seq.partitions[-1], 1.0)
+        b = pq.follmer_integral(path, fn.f1, seq_b.partitions[-1], 1.0)
         return {"integral_a": a, "integral_b": b, "abs_diff": abs(a - b),
-                "residual_sup": float(pq.ito_residual(path, fn, dyadic).sup[-1])}
-    seq = pq.gen_random_balanced(7, range(4, 7), 14, 1.0, 3.0)
-    reference = pq.gen_dyadic(range(4, 15), 14, 1.0)
-    sel = pq.select_dyadic_subsequence(seq, 0.5, reference)
+                "residual_sup": float(pq.ito_residual(path, fn, seq).sup[-1])}
+    reference = pq.gen_dyadic(range(min(seq.level_ids), path.master_level + 1),
+                              path.master_level, 1.0)
+    sel = pq.select_dyadic_subsequence(seq, ana["beta"], reference)
     return {f"S_{n}": pq.roughness_statistic(path, seq.level(n), reference.level(l)).S
             for n, l in zip(sel.level_ids, sel.l)}
+
+
+def test_finest_pair_without_a_partner_is_a_coarser_one():
+    import pathqv as pq
+
+    path = pq.gen_brownian(3, 12, 1.0)
+    doc = _MC_CASES["no_finest_partner"]
+    rep = pq.invariance_check(path, _reference_seq(doc["partition"], path),
+                              _reference_seq(doc["partition_b"], path))
+    assert rep.pairs[int(np.argmin(rep.mesh_a))] == (9, 7)
 
 
 class TestConfigTypes:
@@ -322,6 +380,11 @@ class TestConfigTypes:
         assert _run("qv", _write(tmp_path, doc), "--out-dir", str(tmp_path / "out")) == 1
         assert capsys.readouterr().err == f"error: {message}\n"
 
+    def test_non_integral_weierstrass_b_exits_one(self, tmp_path, capsys):
+        section = {"kind": "weierstrass", "M": 8, "params": {"a": 0.5, "b": 7.5}}
+        assert self._gen_path(tmp_path, section) == 1
+        assert capsys.readouterr().err == "error: weierstrass b must be an odd integer >= 3, got 7.5\n"
+
     def test_int_for_float_and_null_for_optional_accepted(self, tmp_path):
         section = {"kind": "brownian", "seed": 1, "M": 8, "T": 2, "H": None, "file": None}
         assert self._gen_path(tmp_path, section) == 0
@@ -347,6 +410,33 @@ class TestMonteCarloEngine:
         expect = "seed," + ",".join(keys) + "\n" + "".join(
             f"{s}," + ",".join(fmt_float(rec[k]) for k in keys) + "\n" for s, rec in records)
         assert serial == expect.encode()
+
+    @pytest.mark.parametrize("case", sorted(_MC_CASES))
+    def test_records_match_the_public_kernels_bit_for_bit(self, case):
+        cfg = cli.parse_config(dict(_MC_CASES[case], seeds=list(self.SEEDS)))
+        for seed, rec in cli.run_seeds(cfg["experiment"], cfg, cfg["seeds"]):
+            want = _reference_record(case, seed)
+            assert sorted(rec) == sorted(want)
+            assert all(np.float64(rec[k]).tobytes() == np.float64(want[k]).tobytes()
+                       for k in want)
+
+    @pytest.mark.parametrize("workers", ["1", "2"])
+    @pytest.mark.parametrize("partition_b,analysis", [
+        (_BALANCED, {"balance_threshold": 1.5}),  # sequence B is not balanced
+        ({"generator": "dyadic", "levels": [2, 3], "M": 12}, {}),  # no admissible pair
+    ])
+    def test_refused_pairing_names_the_seed(self, tmp_path, capsys, workers, partition_b,
+                                            analysis):
+        import pathqv as pq
+
+        doc = dict(_MC_CASES["invariance"], partition_b=partition_b, analysis=analysis)
+        path = pq.gen_brownian(self.SEEDS[0], 12, 1.0)
+        with pytest.raises(pq.PQVError) as refused:
+            pq.invariance_check(path, _reference_seq(doc["partition"], path),
+                                _reference_seq(partition_b, path), **analysis)
+        assert self._mc(tmp_path, doc, "out", "--workers", workers) == 1
+        assert capsys.readouterr().err == f"error: seed {self.SEEDS[0]}: {refused.value}\n"
+        assert not (tmp_path / "out" / "mc.csv").exists()
 
     def test_many_threads_with_fast_switching_match_serial(self, tmp_path):
         # the shared partition sequences fill their cached properties lazily
@@ -378,6 +468,30 @@ class TestMonteCarloEngine:
                     "--workers", workers) in (0, 2)
         assert len(calls) == 1
         assert len((tmp_path / "out" / "mc.csv").read_text().splitlines()) == 9
+
+    @pytest.mark.parametrize("workers", ["1", "2"])
+    @pytest.mark.parametrize("case", ["fbm_qv", "mixed_integrate"])
+    def test_fgn_weights_built_once_per_run(self, tmp_path, monkeypatch, workers, case):
+        calls = []
+        real = cli._fgn_scale
+
+        def counting(*args):
+            calls.append(args)
+            return real(*args)
+
+        monkeypatch.setattr(cli, "_fgn_scale", counting)
+        assert self._mc(tmp_path, dict(_MC_CASES[case], seeds=[0, 8]), "out",
+                        "--workers", workers) in (0, 2)
+        assert calls == [(12, _MC_CASES[case]["path"]["H"])]
+
+    @pytest.mark.parametrize("path,message", [
+        (dict(_FBM, H=1.5), "Hurst parameter must lie in (0,1), got 1.5"),
+        (dict(_MIXED, H=0.3), "mixed paths require H > 1/2, got 0.3"),
+        (dict(_MIXED, delta=-1.0), "delta must be >= 0, got -1.0"),
+    ])
+    def test_refused_fgn_path_names_the_seed(self, tmp_path, capsys, path, message):
+        assert self._mc(tmp_path, dict(_MC_CASES["fbm_qv"], path=path), "out") == 1
+        assert capsys.readouterr().err == f"error: seed {self.SEEDS[0]}: {message}\n"
 
     @pytest.mark.parametrize("workers", ["1", "2"])
     def test_failing_seed_is_named(self, tmp_path, monkeypatch, capsys, workers):

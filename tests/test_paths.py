@@ -254,6 +254,16 @@ class TestDeterministic:
         with pytest.raises(pq.ParameterError):
             pq.gen_deterministic("weierstrass", {"a": 0.2, "b": 3}, 8, 1.0)
 
+    def test_weierstrass_non_integral_b_refused(self):
+        with pytest.raises(pq.ParameterError, match="b must be an odd integer >= 3, got 7.5"):
+            pq.gen_deterministic("weierstrass", {"a": 0.5, "b": 7.5}, 8, 1.0)
+
+    def test_weierstrass_integral_float_b_accepted(self):
+        p = pq.gen_deterministic("weierstrass", {"a": 0.5, "b": 7.0}, 8, 1.0)
+        assert p.meta.params["b"] == 7.0
+        want = pq.gen_deterministic("weierstrass", {"a": 0.5, "b": 7}, 8, 1.0)
+        assert p.samples.tobytes() == want.samples.tobytes()
+
     def test_unknown_kind(self):
         with pytest.raises(pq.ParameterError):
             pq.gen_deterministic("sawtooth", {}, 8, 1.0)

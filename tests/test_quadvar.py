@@ -441,6 +441,22 @@ class TestInvariance:
                     for na, nb in rep.pairs]
         assert rep.sup_distances.tobytes() == np.asarray(per_pair).tobytes()
 
+    # B levels 4-7: levels 9 and 10 of A have no partner, so the finest pair is (8, 7)
+    @pytest.mark.parametrize("b_levels,want", [(range(4, 11), (10, 10)), (range(4, 8), (8, 7))])
+    def test_finest_pair_alone_gives_the_finest_sup(self, b_levels, want):
+        w = pq.gen_brownian(3, 12, 1.0)
+        a = pq.gen_dyadic(range(4, 11), 12, 1.0)
+        b = pq.gen_random_balanced(7, b_levels, 12, 1.0, 3.0)
+        rep = pq.invariance_check(w, a, b)
+        pairs, mesh_a, mesh_b = pq.quadvar._pair_levels(w, a, b, 8.0, 4.0)
+        assert (tuple(pairs), mesh_a, mesh_b) == (rep.pairs, list(rep.mesh_a), list(rep.mesh_b))
+        finest = int(np.argmin(mesh_a))
+        na, nb = pairs[finest]
+        assert (na, nb) == want
+        one = pq.invariance_check(w, pq.PartitionSequence((a.level(na),), (na,)),
+                                  pq.PartitionSequence((b.level(nb),), (nb,)))
+        assert one.sup_distances.tobytes() == rep.sup_distances[finest:finest + 1].tobytes()
+
     def test_brownian_dyadic_vs_balanced_smoke(self):
         a = pq.gen_dyadic([10], 12, 1.0)
         b = pq.gen_random_balanced(7, [10], 12, 1.0, 3.0)
