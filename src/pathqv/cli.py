@@ -37,8 +37,7 @@ from .calculus import (
 from .errors import ParameterError, PQVError
 from .partitions import PartitionSequence, gen_dyadic, gen_kadic, gen_lebesgue, gen_random_balanced
 from .paths import (
-    _check_fbm_args,
-    _fgn_scale,
+    _fgn_weights,
     _gen_fbm,
     _gen_mixed,
     gen_brownian,
@@ -47,7 +46,6 @@ from .paths import (
     gen_mixed,
 )
 from .quadvar import (
-    _MESH_MATCH_CAP,
     _pair_levels,
     default_eval_indices,
     invariance_check,
@@ -177,7 +175,9 @@ def _sections(cfg: dict, command: str, *keys: str) -> list:
     return [cfg[k] for k in keys]
 
 
-def build_path(cfg: PathConfig, seed_override: int | None = None):
+def build_path(cfg: PathConfig, seed_override: int | None = None, fgn_scale=None):
+    """The configured path; an fbm or mixed path draws its fGn with the shared
+    weights fgn_scale = _fgn_weights(M, T, H) when they are given."""
     if cfg.file:
         return io.read_path_binary(cfg.file)
     seed = cfg.seed if seed_override is None else seed_override
@@ -186,11 +186,15 @@ def build_path(cfg: PathConfig, seed_override: int | None = None):
     if cfg.kind == "fbm":
         if cfg.H is None:
             raise ParameterError("fbm needs H")
-        return gen_fbm(seed, cfg.M, cfg.T, cfg.H)
+        if fgn_scale is None:
+            return gen_fbm(seed, cfg.M, cfg.T, cfg.H)
+        return _gen_fbm(seed, cfg.M, cfg.T, cfg.H, fgn_scale)
     if cfg.kind == "mixed":
         if cfg.H is None or cfg.delta is None:
             raise ParameterError("mixed needs H and delta")
-        return gen_mixed(seed, cfg.M, cfg.T, cfg.H, cfg.delta)
+        if fgn_scale is None:
+            return gen_mixed(seed, cfg.M, cfg.T, cfg.H, cfg.delta)
+        return _gen_mixed(seed, cfg.M, cfg.T, cfg.H, cfg.delta, fgn_scale)
     return gen_deterministic(cfg.kind, cfg.params, cfg.M, cfg.T, cfg.d)
 
 
@@ -388,21 +392,6 @@ def cmd_invariance(cfg: dict, out_dir: FsPath, args) -> int:
 
 # --- Monte Carlo ------------------------------------------------------------
 
-def _fgn_weights(cfg: PathConfig):
-    """The fGn weights _fgn_scale(M, H) that every seed of an fbm or mixed path
-    draws with, read-only; None when no seed draws fGn, or when the generator
-    refuses the path (each seed then raises the error, naming the seed)."""
-    if cfg.file or cfg.H is None or not (cfg.kind == "fbm" or (cfg.kind == "mixed" and cfg.delta)):
-        return None
-    try:
-        _check_fbm_args(0, cfg.M, cfg.T, cfg.H)
-        scale = _fgn_scale(cfg.M, cfg.H)
-    except ParameterError:
-        return None
-    scale.setflags(write=False)
-    return scale
-
-
 def _mc_setup(experiment: str, cfg: dict) -> dict:
     """What every seed shares, built once: partitions, the roughness selection,
     the integrand, a path read from file and the fGn weights of an fbm or mixed
@@ -415,25 +404,19 @@ def _mc_setup(experiment: str, cfg: dict) -> dict:
     ana = cfg.get("analysis", AnalysisConfig())
     ctx = {"seqs": {k: None if cfg[k].generator == "lebesgue" else build_partitions(cfg[k])
                     for k in keys}}
-    if cfg["path"].file:
-        ctx["path"] = io.read_path_binary(cfg["path"].file)
-    ctx["fgn_scale"] = _fgn_weights(cfg["path"])
+    path_cfg = cfg["path"]
+    if path_cfg.file:
+        ctx["path"] = io.read_path_binary(path_cfg.file)
+    elif path_cfg.kind in ("fbm", "mixed") and path_cfg.H is not None:
+        try:
+            ctx["fgn_scale"] = _fgn_weights(path_cfg.M, path_cfg.T, path_cfg.H)
+        except ParameterError:
+            pass  # each seed raises it, naming the seed
     if experiment == "integrate":
         ctx["fn"] = function_catalogue(ana.function, **ana.fn_params)
     if experiment == "roughness" and ctx["seqs"]["partition"] is not None:
         ctx["selection"] = _dyadic_selection(ctx["seqs"]["partition"], ana.beta)
     return ctx
-
-
-def _mc_path(cfg: PathConfig, seed: int, ctx: dict):
-    """The path of one seed: build_path, on the weights of ctx when it holds them."""
-    if "path" in ctx:
-        return ctx["path"]
-    if ctx["fgn_scale"] is None:
-        return build_path(cfg, seed)
-    if cfg.kind == "fbm":
-        return _gen_fbm(seed, cfg.M, cfg.T, cfg.H, ctx["fgn_scale"])
-    return _gen_mixed(seed, cfg.M, cfg.T, cfg.H, cfg.delta, ctx["fgn_scale"])
 
 
 def _one_level(seq: PartitionSequence, n: int) -> PartitionSequence:
@@ -443,7 +426,7 @@ def _one_level(seq: PartitionSequence, n: int) -> PartitionSequence:
 def _mc_single(experiment: str, seed: int, cfg: dict, ctx: dict) -> dict:
     """One seed: build the path (and any Lebesgue sequence), then compute what
     the record keeps and nothing else."""
-    path = _mc_path(cfg["path"], seed, ctx)
+    path = ctx["path"] if "path" in ctx else build_path(cfg["path"], seed, ctx.get("fgn_scale"))
     seqs = {k: build_partitions(cfg[k], path) if seq is None else seq
             for k, seq in ctx["seqs"].items()}
     seq_a, seq_b = seqs["partition"], seqs.get("partition_b")
@@ -456,9 +439,8 @@ def _mc_single(experiment: str, seed: int, cfg: dict, ctx: dict) -> dict:
     if experiment == "invariance":
         # the record keeps the sup distance at the finest matched pair: pair the
         # full sequences as invariance_check does, then check only that pair
-        pairs, mesh_a, _ = _pair_levels(path, seq_a, seq_b, ana.balance_threshold,
-                                        _MESH_MATCH_CAP)
-        na, nb = pairs[int(np.argmin(mesh_a))]
+        pairs, _, _, finest = _pair_levels(path, seq_a, seq_b, ana.balance_threshold)
+        na, nb = pairs[finest]
         rep = invariance_check(path, _one_level(seq_a, na), _one_level(seq_b, nb),
                                balance_threshold=ana.balance_threshold)
         return {"sup_distance": float(rep.sup_distances[0])}

@@ -219,8 +219,17 @@ def _check_fbm_args(seed, M, T, H) -> None:
         raise ParameterError(f"Hurst parameter must lie in (0,1), got {H}")
 
 
+def _fgn_weights(M: int, T: float, H: float) -> np.ndarray:
+    """The weights _fgn_scale(M, H) after gen_fbm's checks of M, T and H,
+    read-only, so that any number of fBm draws at M and H can share them."""
+    _check_fbm_args(0, M, T, H)
+    scale = _fgn_scale(M, H)
+    scale.setflags(write=False)
+    return scale
+
+
 def _gen_fbm(seed: int, M: int, T: float, H: float, scale=None) -> SampledPath:
-    """gen_fbm, drawn with the weights scale = _fgn_scale(M, H) when given."""
+    """gen_fbm, drawn with the weights scale = _fgn_weights(M, T, H) when given."""
     _check_fbm_args(seed, M, T, H)
     if scale is None:
         scale = _fgn_scale(M, H)  # first, so its temporaries never meet the draw
@@ -241,7 +250,8 @@ def gen_fbm(seed: int, M: int, T: float, H: float) -> SampledPath:
 
 
 def _gen_mixed(seed: int, M: int, T: float, H: float, delta: float, scale=None) -> SampledPath:
-    """gen_mixed, its fBm part drawn with the weights scale = _fgn_scale(M, H) when given."""
+    """gen_mixed, its fBm part drawn with the weights scale = _fgn_weights(M, T, H)
+    when given."""
     _check_gen_args(seed, M, T)
     if H <= 0.5:
         raise ParameterError(f"mixed paths require H > 1/2, got {H}")

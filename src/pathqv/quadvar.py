@@ -234,12 +234,14 @@ _MESH_MATCH_CAP = 4.0
 
 
 def _pair_levels(path: SampledPath, seq_a: PartitionSequence, seq_b: PartitionSequence,
-                 balance_threshold: float, mesh_match_cap: float):
-    """The mesh-matched level pairs of invariance_check: (pairs, mesh_a, mesh_b) lists.
+                 balance_threshold: float, mesh_match_cap: float = _MESH_MATCH_CAP):
+    """The mesh-matched level pairs of invariance_check: (pairs, mesh_a, mesh_b)
+    lists and the index of the finest pair, the one its verdict reads.
 
     Both sequences must sit on the path's grid and be balanced.  Each level of
     A is paired with the B level of nearest log-mesh, when the mesh ratio
-    stays within mesh_match_cap; the finest pair is the argmin of mesh_a.
+    stays within mesh_match_cap; the finest pair is the argmin of mesh_a
+    (the first on ties).
     """
     for name, s in (("A", seq_a), ("B", seq_b)):
         _require_same_grid(path, s)
@@ -262,7 +264,7 @@ def _pair_levels(path: SampledPath, seq_a: PartitionSequence, seq_b: PartitionSe
         raise PairingError(
             f"no level of B has mesh within x{mesh_match_cap:g} of any level of A"
         )
-    return pairs, ma, mb
+    return pairs, ma, mb, int(np.argmin(ma))
 
 
 def invariance_check(
@@ -280,7 +282,8 @@ def invariance_check(
     ratio stays within mesh_match_cap.  The verdict compares the finest
     admissible pair against tol (default CLT-scaled in the finest mesh).
     """
-    pairs, ma, mb = _pair_levels(path, seq_a, seq_b, balance_threshold, mesh_match_cap)
+    pairs, ma, mb, finest = _pair_levels(path, seq_a, seq_b, balance_threshold,
+                                         mesh_match_cap)
     eval_idx = _resolve_eval(path, None, eval_times)
     # pairs follow A's levels; with both sequences ordered by mesh, a B level
     # serving two pairs serves adjacent ones, so holding the last B curve
@@ -293,7 +296,6 @@ def invariance_check(
         diff = np.abs(ca - cb)
         sup.append(diff.reshape(len(eval_idx), -1).max() if diff.ndim > 1 else diff.max())
     sup = np.asarray(sup)
-    finest = int(np.argmin(ma))
     if tol is None:
         tol = default_qv_tol(min(ma[finest], mb[finest]))
     return InvarianceReport(

@@ -7,7 +7,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from pathqv import cli
+from pathqv import cli, paths
 from pathqv.io import fmt_float, read_path_binary
 
 
@@ -19,6 +19,13 @@ def _write(tmp_path, doc, name="cfg.json"):
 
 def _run(*argv):
     return cli.main(list(argv))
+
+
+def _usable_cpus():
+    """The CPUs this process may run on (the CPU count where the OS has no
+    affinity call), at most 8: the default number of mc workers."""
+    affinity = getattr(os, "sched_getaffinity", None)
+    return min(len(affinity(0)) if affinity else os.cpu_count() or 1, 8)
 
 
 class TestConfigValidation:
@@ -205,15 +212,20 @@ class TestMonteCarlo:
         extra = () if workers is None else ("--workers", workers)
         assert _run("mc", self._mc_cfg(tmp_path), "--out-dir", str(out), *extra) == 0
         report = json.loads((out / "report.json").read_text())
-        expect = (min(len(os.sched_getaffinity(0)), 8) if workers is None
-                  else max(1, int(workers)))
+        expect = _usable_cpus() if workers is None else max(1, int(workers))
         assert report["timings"]["workers"] == expect
 
-    def test_default_workers_follow_the_cpu_affinity(self, tmp_path, monkeypatch):
-        monkeypatch.setattr(cli.os, "sched_getaffinity", lambda pid: {0})
+    @pytest.mark.parametrize("pinned", [True, False], ids=["pinned", "no_affinity_call"])
+    def test_default_workers_follow_the_cpu_affinity(self, tmp_path, monkeypatch, pinned):
+        if pinned:
+            monkeypatch.setattr(cli.os, "sched_getaffinity", lambda pid: {0}, raising=False)
+            expect = 1
+        else:  # an OS without the call: the machine's CPU count, at most 8
+            monkeypatch.delattr(cli.os, "sched_getaffinity", raising=False)
+            expect = min(os.cpu_count() or 1, 8)
         out = tmp_path / "out"
         assert _run("mc", self._mc_cfg(tmp_path), "--out-dir", str(out)) == 0
-        assert json.loads((out / "report.json").read_text())["timings"]["workers"] == 1
+        assert json.loads((out / "report.json").read_text())["timings"]["workers"] == expect
 
 
 # Monte Carlo configs on small grids, one per experiment and path kind, each
@@ -472,17 +484,23 @@ class TestMonteCarloEngine:
     @pytest.mark.parametrize("workers", ["1", "2"])
     @pytest.mark.parametrize("case", ["fbm_qv", "mixed_integrate"])
     def test_fgn_weights_built_once_per_run(self, tmp_path, monkeypatch, workers, case):
-        calls = []
-        real = cli._fgn_scale
+        builds, draws = [], []
+        real_scale, real_draw = paths._fgn_scale, paths._fgn_circulant
 
         def counting(*args):
-            calls.append(args)
-            return real(*args)
+            builds.append(args)
+            return real_scale(*args)
 
-        monkeypatch.setattr(cli, "_fgn_scale", counting)
-        assert self._mc(tmp_path, dict(_MC_CASES[case], seeds=[0, 8]), "out",
-                        "--workers", workers) in (0, 2)
-        assert calls == [(12, _MC_CASES[case]["path"]["H"])]
+        def drawing(rng, M, scale):
+            draws.append(scale)
+            return real_draw(rng, M, scale)
+
+        monkeypatch.setattr(paths, "_fgn_scale", counting)
+        monkeypatch.setattr(paths, "_fgn_circulant", drawing)
+        assert self._mc(tmp_path, _MC_CASES[case], "out", "--workers", workers) in (0, 2)
+        assert builds == [(12, _MC_CASES[case]["path"]["H"])]
+        assert len(draws) == len(range(*self.SEEDS))
+        assert all(scale is draws[0] for scale in draws)
 
     @pytest.mark.parametrize("path,message", [
         (dict(_FBM, H=1.5), "Hurst parameter must lie in (0,1), got 1.5"),

@@ -448,9 +448,8 @@ class TestInvariance:
         a = pq.gen_dyadic(range(4, 11), 12, 1.0)
         b = pq.gen_random_balanced(7, b_levels, 12, 1.0, 3.0)
         rep = pq.invariance_check(w, a, b)
-        pairs, mesh_a, mesh_b = pq.quadvar._pair_levels(w, a, b, 8.0, 4.0)
+        pairs, mesh_a, mesh_b, finest = pq.quadvar._pair_levels(w, a, b, 8.0)
         assert (tuple(pairs), mesh_a, mesh_b) == (rep.pairs, list(rep.mesh_a), list(rep.mesh_b))
-        finest = int(np.argmin(mesh_a))
         na, nb = pairs[finest]
         assert (na, nb) == want
         one = pq.invariance_check(w, pq.PartitionSequence((a.level(na),), (na,)),
