@@ -20,7 +20,12 @@ statistics are truncated at no t, at t = 1/16 (before the first point of every
 stopped level), at 0.5 and one master step before T.  Invariance
 checks take a balance threshold of 64, so the stopped random balanced
 sequence, whose end cells are cut short, is compared too, and so is the
-stopped range against the stopped dyadic sequence.  The ``ito`` family also
+stopped range against the stopped dyadic sequence.  The ``roughness`` family
+also hashes each coarsening selection (``select_dyadic_subsequence`` against
+the dyadic reference from the sequence's first level to M) at beta = 0.3,
+0.5 and 0.9, over every sequence of the matrix and over dyadic and 3-adic
+sequences from level 0: its level ids, selected levels, ratio bytes and
+whether every sandwich inequality holds.  The ``ito`` family also
 hashes ``follmer_path`` for every path (the 3-d one included), every level
 of every sequence and every catalogue function, ``follmer_integral`` on the
 same matrix at t = 1/16 (before the first point of every stopped level), at
@@ -118,6 +123,14 @@ def _eval_grids(M: int) -> list:
     return [None, [0.5, 1.0], on_grid]
 
 
+def _selection(seq, beta: float) -> tuple:
+    """What a coarsening selection decides: level ids, l_n, ratio and the sandwich verdict."""
+    M = seq.master_level
+    reference = pq.gen_dyadic(range(min(seq.level_ids), M + 1), M, 1.0)
+    sel = pq.select_dyadic_subsequence(seq, beta, reference)
+    return sel.level_ids, sel.l, sel.ratio, all(sel.sandwich_ok)
+
+
 def _integral_times(part) -> list:
     """Before the first point of every stopped level, at a point, inside an interval, at T."""
     mid = float(part.indices_at(part.n_intervals // 2) * part.master_step)
@@ -190,6 +203,11 @@ def digests(levels=(8, 11, 14)) -> dict:
                 for path in paths + [w3]:
                     _record(hs["invariance"], pq.invariance_check, path, seqs[a], seqs[b],
                             grid, balance_threshold=64.0)
+        from_zero = [pq.gen_dyadic([0], M, 1.0), pq.gen_dyadic(range(4), M, 1.0),
+                     pq.gen_kadic(3, [0], M, 1.0), pq.gen_kadic(3, range(4), M, 1.0)]
+        for seq in seqs + from_zero:
+            for beta in (0.3, 0.5, 0.9):
+                _record(hs["roughness"], _selection, seq, beta)
         for path in paths:
             for seq, ref in zip(seqs, fine_of):
                 records = []

@@ -88,12 +88,10 @@ class PartitionConfig:
 @dataclass
 class AnalysisConfig:
     beta: float = 0.5
-    kappa: float = 1.5
     tol: float | None = None
     target: float | None = None
     function: str = "square"
     fn_params: dict = field(default_factory=dict)
-    h: float = 0.25
     u_points: int = 512
     balance_threshold: float = 8.0
 
@@ -318,7 +316,7 @@ def cmd_roughness(cfg: dict, out_dir: FsPath, args) -> int:
     csvfile = out_dir / "roughness.csv"
     io.write_roughness_csv(records, str(csvfile))
     verdicts = {
-        "selection_sandwich": bool(all(sel.sandwich_ok)) if sel.sandwich_ok else True,
+        "selection_sandwich": all(sel.sandwich_ok),
         "decomposition_identity": bool(max_gap < 1e-9),
     }
     return _finish("roughness", verdicts, [csvfile], t0, cfg, out_dir)

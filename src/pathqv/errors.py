@@ -20,10 +20,9 @@ class GridMismatchError(ParameterError):
 class ExhaustionError(PQVError):
     """A defining infimum/supremum is not attained within the available levels."""
 
-    def __init__(self, message, level=None, required=None):
+    def __init__(self, message, level=None):
         super().__init__(message)
         self.level = level
-        self.required = required
 
 
 class GroupingError(PQVError):

@@ -164,9 +164,6 @@ class Partition:
     def span(self) -> float:
         return float((self.last_index - self.first_index) * self.master_step)
 
-    def spans_full_horizon(self) -> bool:
-        return self.first_index == 0 and self.last_index == (1 << self.master_level)
-
 
 @dataclass(frozen=True)
 class PartitionSequence:

@@ -104,9 +104,6 @@ class SampledPath:
         t.setflags(write=False)
         return t
 
-    def component(self, i: int = 0) -> np.ndarray:
-        return self.samples[:, i]
-
     def scalar(self) -> np.ndarray:
         """The sample array of a one-dimensional path."""
         if self.dim != 1:

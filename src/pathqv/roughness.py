@@ -219,48 +219,26 @@ class CoarseningSelection:
     level_ids: tuple
     l: tuple                      # selected fine (dyadic) level per source level
     ratio: np.ndarray             # |T^{l_n}|^beta / |pi^n|
-    branch: str                   # "identity" or "infimum"
-    sandwich_ok: tuple            # defining inequalities, infimum branch only
+    sandwich_ok: tuple            # defining inequalities per source level
 
 
 def select_dyadic_subsequence(
-    seq: PartitionSequence,
-    beta: float,
-    dyadic: PartitionSequence,
-    big_o_ratio: float = 1.0,
+    seq: PartitionSequence, beta: float, dyadic: PartitionSequence
 ) -> CoarseningSelection:
     """Select fine reference levels l_n with |T^{l_n}|^beta at or below |pi^n|.
 
-    If |T^n|^beta / |pi^n| stays below big_o_ratio at every tested level, the
-    identity branch l_n = n is taken.  Otherwise l_n is the first reference
-    level at or after n satisfying |pi^n| >= |T^{l_n}|^beta, and the defining
-    sandwich |T^{l_n}| <= |pi^n|^(1/beta) < |T^{l_n - 1}| is recorded.
+    One coarsening rule: l_n is the first reference level at or after n with
+    |T^{l_n}|^beta <= |pi^n|.  The defining sandwich
+    |T^{l_n}| <= |pi^n|^(1/beta) < |T^{l_n - 1}| is recorded per level.
     """
     if not 0.0 < beta < 1.0:
         raise ParameterError(f"beta must lie in (0,1), got {beta}")
     dy_ids = list(dyadic.level_ids)
     dy_log_mesh = {n: math.log2(dyadic.level(n).mesh) for n in dy_ids}
 
-    log_mesh = {n: math.log2(seq.level(n).mesh) for n in seq.level_ids}
-    identity_ok = all(
-        n in dy_log_mesh and beta * dy_log_mesh[n] - log_mesh[n] <= math.log2(big_o_ratio)
-        for n in seq.level_ids
-    )
-    if identity_ok:
-        sel = list(seq.level_ids)
-        ratio = np.array([2.0 ** (beta * dy_log_mesh[n] - log_mesh[n]) for n in seq.level_ids])
-        return CoarseningSelection(
-            beta=float(beta),
-            level_ids=seq.level_ids,
-            l=tuple(sel),
-            ratio=ratio,
-            branch="identity",
-            sandwich_ok=(),
-        )
-
     sel, sandwich, ratio = [], [], []
     for n in seq.level_ids:
-        lm = log_mesh[n]
+        lm = math.log2(seq.level(n).mesh)
         cands = [l for l in dy_ids if l >= n]
         l_n = next((l for l in cands if beta * dy_log_mesh[l] <= lm), None)
         if l_n is None:
@@ -285,7 +263,6 @@ def select_dyadic_subsequence(
         level_ids=seq.level_ids,
         l=tuple(sel),
         ratio=np.asarray(ratio),
-        branch="infimum",
         sandwich_ok=tuple(sandwich),
     )
 
@@ -365,45 +342,42 @@ class TailReport:
 
 
 def hw_tail_check(
-    stats, delta_grid, min_seeds: int = 100, var_margin: float = 0.5
+    seq: PartitionSequence, samples: dict, delta_grid, min_seeds: int = 100,
+    var_margin: float = 0.5,
 ) -> TailReport:
     """Empirical tail of |S| per level against a sub-Gaussian decay profile.
 
-    Groups the supplied statistics by coarse level, reports exceedance
-    frequencies on delta_grid, fits the decay of log frequency against
-    delta/sqrt(mesh), and checks the empirical variance against the
-    2 c T mesh budget within the given margin.
+    ``samples`` maps a coarse level of ``seq`` to its statistic S over the
+    seeds.  Per level this reports exceedance frequencies on delta_grid, fits
+    the decay of log frequency against delta/sqrt(mesh), and checks the
+    empirical variance against the 2 c T mesh budget within the given
+    margin; the mesh, the ratio c and the horizon T are read from ``seq``.
     """
     deltas = np.asarray(delta_grid, dtype=np.float64)
-    groups: dict = {}
-    for st in stats:
-        groups.setdefault(st.coarse_level, []).append(st)
-    levels = tuple(sorted(groups))
+    levels = tuple(sorted(samples))
     exc, slopes, var_e, var_b, var_ok, counts = [], [], [], [], [], []
     for lev in levels:
-        grp = groups[lev]
-        if len(grp) < min_seeds:
+        s = np.asarray(samples[lev], dtype=np.float64)
+        if len(s) < min_seeds:
             raise StatisticalPowerError(
-                f"level {lev} has {len(grp)} samples; need >= {min_seeds}"
+                f"level {lev} has {len(s)} samples; need >= {min_seeds}"
             )
-        s = np.array([g.S for g in grp])
-        mesh = grp[0].coarse_mesh
-        c_hat = max(g.coarse_ratio for g in grp)
-        horizon = grp[0].horizon
+        coarse = seq.level(lev)
+        mesh = coarse.mesh
         freq = np.array([(np.abs(s) > d).mean() for d in deltas])
         pos = freq > 0
         if pos.sum() >= 2:
             slope = float(np.polyfit(deltas[pos] / math.sqrt(mesh), np.log(freq[pos]), 1)[0])
         else:
             slope = float("nan")
-        budget = 2.0 * c_hat * horizon * mesh * (1.0 + var_margin)
+        budget = 2.0 * coarse.ratio * seq.horizon * mesh * (1.0 + var_margin)
         v = float(s.var(ddof=1))
         exc.append(freq)
         slopes.append(slope)
         var_e.append(v)
         var_b.append(budget)
         var_ok.append(v <= budget)
-        counts.append(len(grp))
+        counts.append(len(s))
     return TailReport(
         levels=levels,
         deltas=deltas,

@@ -93,7 +93,7 @@ def test_criterion_1e_closed_forms():
     _report("1e", ok, "linear QV, linear S, l_n = 2n selections")
 
 
-# -- Monte Carlo criteria 2-6 run on the `pqv mc` engine ---------------------
+# -- Monte Carlo criteria 2-6 and 9 run on the `pqv mc` engine ---------------
 
 def _mc_columns(experiment, doc, n_seeds):
     """Per-key columns of the mc records for seeds 0..n_seeds-1, in seed order."""
@@ -244,15 +244,12 @@ def test_criterion_8_local_time(bm14_batch):
 
 def test_criterion_9_tail_decay():
     M = 20
-    dy = pq.gen_dyadic([10, 20], M, 1.0)
-    stats = []
-    for seed in range(200):
-        w = pq.gen_brownian(seed, M, 1.0)
-        stats.append(
-            pq.roughness_statistic(w, dy.level(10), dy.level(20),
-                                   coarse_level=10, fine_level=20)
-        )
-    rep = pq.hw_tail_check(stats, [0.025, 0.05, 0.075, 0.1, 0.125], min_seeds=200)
+    doc = {"path": {"kind": "brownian", "M": M},
+           "partition": {"generator": "dyadic", "levels": [10, 10], "M": M},
+           "analysis": {"beta": 0.5}}
+    cols = _mc_columns("roughness", doc, 200)  # beta = 0.5 selects l = 20
+    rep = pq.hw_tail_check(pq.gen_dyadic([10], M, 1.0), {10: cols["S_10"]},
+                           [0.025, 0.05, 0.075, 0.1, 0.125], min_seeds=200)
     exceed = float(rep.exceedance[0][3])  # delta = 0.1
     ok = exceed < 0.05 and rep.decay_slope[0] < 0.0 and bool(rep.var_ok[0])
     _report(

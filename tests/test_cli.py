@@ -45,6 +45,11 @@ class TestConfigValidation:
                                 "partition": {}})
         assert _run("qv", cfg) == 1
         assert "hurst" in capsys.readouterr().err
+        for key in ("kappa", "h"):  # no command reads them
+            cfg = _write(tmp_path, {"path": {"kind": "brownian"}, "partition": {},
+                                    "analysis": {key: 0.25}})
+            assert _run("qv", cfg) == 1
+            assert f"unknown keys in analysis: ['{key}']" in capsys.readouterr().err
 
     def test_bad_seed_range(self, tmp_path):
         cfg = _write(tmp_path, {"experiment": "qv", "seeds": [5, 5],

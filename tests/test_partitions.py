@@ -76,7 +76,8 @@ class TestLazyDyadic:
             for name in self.SCALARS:
                 a, b = getattr(lazy, name), getattr(eager, name)
                 assert type(a) is type(b) and a == b, (n, name)
-            assert lazy.spans_full_horizon() and eager.spans_full_horizon()
+            assert lazy.first_index == eager.first_index == 0
+            assert lazy.last_index == eager.last_index == 1 << M
             assert "indices" not in vars(lazy)      # answered without the array
             idx = lazy.indices
             assert idx.dtype == np.int64 and not idx.flags.writeable
@@ -95,7 +96,6 @@ class TestLazyDyadic:
         eager = pq.Partition(np.arange(48, 977, 16), 10, 2.0)
         for name in self.SCALARS:
             assert getattr(lazy, name) == getattr(eager, name), name
-        assert not lazy.spans_full_horizon() and not eager.spans_full_horizon()
         assert lazy.first_index == eager.first_index == 48
         assert lazy.last_index == eager.last_index == 976
         pos = np.array([0, 3, 58])

@@ -1,4 +1,6 @@
+import math
 import tracemalloc
+from dataclasses import fields
 
 import numpy as np
 import pytest
@@ -7,6 +9,7 @@ from hypothesis import strategies as st
 
 import pathqv as pq
 import strategies as strat
+from pathqv.cli import build_partitions, parse_config, run_seeds
 
 
 def _labelled_dyadic(level_ids, actual_levels, M, T=1.0):
@@ -21,7 +24,6 @@ class TestSelection:
         seq = pq.gen_dyadic(range(1, 7), M, 1.0)
         ref = pq.gen_dyadic(range(1, 15), M, 1.0)
         sel = pq.select_dyadic_subsequence(seq, 0.5, ref)
-        assert sel.branch == "infimum"
         assert all(l == 2 * n for n, l in zip(sel.level_ids, sel.l))
         assert all(sel.sandwich_ok)
 
@@ -47,15 +49,14 @@ class TestSelection:
             if l - 1 >= n:
                 assert mesh ** (1.0 / 0.5) < ref.level(l - 1).mesh
 
-    def test_identity_branch_when_ratio_bounded(self):
-        M = 12
-        seq = pq.gen_dyadic(range(3, 9), M, 1.0)
-        ref = pq.gen_dyadic(range(3, 13), M, 1.0)
-        # |T^n|^beta = 2^(-n/2) >= |pi^n| = 2^-n always, so with a generous
-        # threshold the identity branch fires
-        sel = pq.select_dyadic_subsequence(seq, 0.5, ref, big_o_ratio=2.0**6)
-        assert sel.branch == "identity"
-        assert tuple(sel.l) == seq.level_ids
+    def test_coarse_meshes_select_their_own_level(self):
+        # |T^n|^0.9 <= |pi^n| at every level, so the rule stops at l_n = n
+        M = 16
+        seq = pq.gen_random_balanced(7, range(0, 5), M, 1.0, 3.0)
+        ref = pq.gen_dyadic(range(0, M + 1), M, 1.0)
+        sel = pq.select_dyadic_subsequence(seq, 0.9, ref)
+        assert sel.l == seq.level_ids
+        assert sel.sandwich_ok == (True,) * len(seq) and np.all(sel.ratio <= 1.0)
 
     def test_exhaustion_names_required_depth(self):
         M = 12
@@ -360,31 +361,108 @@ class TestFvPerturbation:
         assert np.median(diffs) < 0.02
 
 
-class TestTailCheck:
-    def _stats(self, n_seeds=120, level=8, M=16):
-        dy = pq.gen_dyadic(range(level, M + 1), M, 1.0)
-        out = []
-        for seed in range(n_seeds):
-            w = pq.gen_brownian(seed, M, 1.0)
-            out.append(
-                pq.roughness_statistic(w, dy.level(level), dy.level(2 * level),
-                                       coarse_level=level, fine_level=2 * level)
-            )
-        return out
+def _tail_samples(partition: dict, n_seeds: int):
+    """The configured sequence and {level: S over seeds 0..n_seeds-1} of a Brownian
+    path at beta = 0.5, through the mc engine."""
+    cfg = parse_config({"path": {"kind": "brownian", "M": partition["M"]},
+                        "partition": partition, "analysis": {"beta": 0.5}})
+    records = run_seeds("roughness", cfg, range(n_seeds), workers=2)
+    seq = build_partitions(cfg["partition"])
+    return seq, {n: np.array([rec[f"S_{n}"] for _, rec in records]) for n in seq.level_ids}
 
-    def test_delta_beyond_max_has_zero_frequency(self):
-        stats = self._stats()
-        top = max(abs(s.S) for s in stats)
-        rep = pq.hw_tail_check(stats, [top * 1.01, top * 2], min_seeds=100)
+
+def _tail_check_by_records(stats, delta_grid, min_seeds=100, var_margin=0.5):
+    """hw_tail_check as it grouped RoughnessStat records by coarse level; the oracle."""
+    deltas = np.asarray(delta_grid, dtype=np.float64)
+    groups: dict = {}
+    for st in stats:
+        groups.setdefault(st.coarse_level, []).append(st)
+    levels = tuple(sorted(groups))
+    exc, slopes, var_e, var_b, var_ok, counts = [], [], [], [], [], []
+    for lev in levels:
+        grp = groups[lev]
+        if len(grp) < min_seeds:
+            raise pq.StatisticalPowerError(
+                f"level {lev} has {len(grp)} samples; need >= {min_seeds}"
+            )
+        s = np.array([g.S for g in grp])
+        mesh = grp[0].coarse_mesh
+        c_hat = max(g.coarse_ratio for g in grp)
+        horizon = grp[0].horizon
+        freq = np.array([(np.abs(s) > d).mean() for d in deltas])
+        pos = freq > 0
+        if pos.sum() >= 2:
+            slope = float(np.polyfit(deltas[pos] / math.sqrt(mesh), np.log(freq[pos]), 1)[0])
+        else:
+            slope = float("nan")
+        budget = 2.0 * c_hat * horizon * mesh * (1.0 + var_margin)
+        v = float(s.var(ddof=1))
+        exc.append(freq)
+        slopes.append(slope)
+        var_e.append(v)
+        var_b.append(budget)
+        var_ok.append(v <= budget)
+        counts.append(len(grp))
+    return pq.roughness.TailReport(
+        levels=levels,
+        deltas=deltas,
+        exceedance=np.asarray(exc),
+        decay_slope=np.asarray(slopes),
+        var_emp=np.asarray(var_e),
+        var_budget=np.asarray(var_b),
+        var_ok=np.asarray(var_ok),
+        n_seeds=np.asarray(counts),
+    )
+
+
+_DYADIC8_M16 = {"generator": "dyadic", "levels": [8, 8], "M": 16}       # l = 16
+
+
+class TestTailCheck:
+    @pytest.fixture(scope="class")
+    def level8(self):
+        return _tail_samples(_DYADIC8_M16, 120)
+
+    def test_delta_beyond_max_has_zero_frequency(self, level8):
+        seq, samples = level8
+        top = float(np.abs(samples[8]).max())
+        rep = pq.hw_tail_check(seq, samples, [top * 1.01, top * 2], min_seeds=100)
         assert np.all(rep.exceedance == 0.0)
 
-    def test_variance_budget_and_slope(self):
-        stats = self._stats()
-        rep = pq.hw_tail_check(stats, [0.01, 0.02, 0.04, 0.08], min_seeds=100)
+    def test_variance_budget_and_slope(self, level8):
+        seq, samples = level8
+        rep = pq.hw_tail_check(seq, samples, [0.01, 0.02, 0.04, 0.08], min_seeds=100)
         assert rep.var_ok.all()
         assert rep.decay_slope[0] < 0.0
 
-    def test_power_guard(self):
-        stats = self._stats(n_seeds=20)
+    def test_power_guard(self, level8):
+        seq, samples = level8
         with pytest.raises(pq.StatisticalPowerError):
-            pq.hw_tail_check(stats, [0.05], min_seeds=100)
+            pq.hw_tail_check(seq, {8: samples[8][:20]}, [0.05], min_seeds=100)
+
+    @pytest.mark.parametrize("partition,n_seeds,deltas", [
+        (_DYADIC8_M16, 120, [0.01, 0.02, 0.04, 0.08]),
+        # criterion 9: l = 20
+        ({"generator": "dyadic", "levels": [10, 10], "M": 20}, 200,
+         [0.025, 0.05, 0.075, 0.1, 0.125]),
+        # several levels, each with a mesh ratio above 1 (a dyadic level's is 1)
+        ({"generator": "random_balanced", "levels": [4, 6], "M": 14, "seed": 7,
+          "c_target": 3.0}, 100, [0.02, 0.05, 0.1, 0.2]),
+    ])
+    def test_matches_the_record_grouping_oracle(self, partition, n_seeds, deltas):
+        seq, samples = _tail_samples(partition, n_seeds)
+        M = seq.master_level
+        ref = pq.gen_dyadic(range(min(seq.level_ids), M + 1), M, 1.0)
+        sel = pq.select_dyadic_subsequence(seq, 0.5, ref)
+        stats = []
+        for seed in range(n_seeds):
+            w = pq.gen_brownian(seed, M, 1.0)
+            stats.extend(pq.roughness_statistic(w, seq.level(n), ref.level(l),
+                                                coarse_level=n, fine_level=l)
+                         for n, l in zip(sel.level_ids, sel.l))
+        got = pq.hw_tail_check(seq, samples, deltas, min_seeds=n_seeds)
+        want = _tail_check_by_records(stats, deltas, min_seeds=n_seeds)
+        assert got.levels == want.levels
+        for f in fields(pq.roughness.TailReport)[1:]:
+            a, b = getattr(got, f.name), getattr(want, f.name)
+            assert (a.dtype, a.shape, a.tobytes()) == (b.dtype, b.shape, b.tobytes()), f.name
