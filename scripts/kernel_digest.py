@@ -31,7 +31,11 @@ of every sequence and every catalogue function, ``follmer_integral`` on the
 same matrix at t = 1/16 (before the first point of every stopped level), at
 a partition point, one master step inside the interval after it and at T,
 and ``tanaka_residual`` at the first and last row of every local-time
-field.  Each digest hashes the dtype, shape and bytes of every output array
+field.  The ``localtime`` family hashes each field on the default 256-point
+u grid, on the benchmark's 512-point one and on a 1000-point grid summed step
+by step, uniform but not a linspace bit for bit; and the fields of a linear
+path whose values lie on or within rounding of the nodes of such a grid.
+Each digest hashes the dtype, shape and bytes of every output array
 and the repr of every other field, so a flipped signed zero changes it.  A library error is hashed by class and
 message, and the run goes on.  The ``io`` family hashes the exact text of
 every CSV writer, each written to a ``StringIO``: the QV CSV of each
@@ -129,6 +133,18 @@ def _selection(seq, beta: float) -> tuple:
     reference = pq.gen_dyadic(range(min(seq.level_ids), M + 1), M, 1.0)
     sel = pq.select_dyadic_subsequence(seq, beta, reference)
     return sel.level_ids, sel.l, sel.ratio, all(sel.sandwich_ok)
+
+
+def _uniform_grid(lo: float, hi: float, n: int) -> np.ndarray:
+    """lo plus n - 1 equal steps summed one by one: uniform to rounding, but not
+    np.linspace(lo, hi, n) bit for bit (nor lo + step * arange(n), which is)."""
+    return lo + np.concatenate([[0.0], np.cumsum(np.full(n - 1, (hi - lo) / (n - 1)))])
+
+
+def _extra_u_grids(path) -> list:
+    """The benchmark's 512-point linspace, and a summed 1000-point grid."""
+    lin = default_u_grid(path, n_u=1000)
+    return [default_u_grid(path, n_u=512), _uniform_grid(lin[0], lin[-1], 1000)]
 
 
 def _integral_times(part) -> list:
@@ -231,6 +247,10 @@ def digests(levels=(8, 11, 14)) -> dict:
                             for t in (field.t_grid[0], field.t_grid[-1]):
                                 _record(hs["ito"], pq.tanaka_residual, path, fn, part,
                                         field, float(t))
+                for u in _extra_u_grids(path):
+                    for part in seq:
+                        for grid in grids:
+                            _record(hs["localtime"], pq.local_time_discrete, path, part, grid, u)
                 qv = pq.qv_level(path, seq.partitions[-1])
                 for fn in fns:
                     for grid in grids:
@@ -241,6 +261,12 @@ def digests(levels=(8, 11, 14)) -> dict:
                                 _text(hs["io"], pio.write_residual_csv, residual)
                             _record(hs["isometry"], pq.isometry_check, path, fn, seq, curve,
                                     grid)
+        # values j / 2^M on or within rounding of the nodes k / 384 of a summed grid
+        line = pq.gen_deterministic("linear", {"slope": 1.0}, M, 1.0)
+        for part in seqs[0]:
+            for grid in grids:
+                _record(hs["localtime"], pq.local_time_discrete, line, part, grid,
+                        _uniform_grid(0.0, 1.0 + 1 / 384, 386))
         for experiment, doc in _mc_configs(M):
             _record(hs["mc"], _mc_records, experiment, doc)
         for path in paths + [w3]:

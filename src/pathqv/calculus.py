@@ -315,6 +315,11 @@ def local_time_discrete(
     2 |x(t_{j+1} and t) - u| on the half-open band between x(t_j) and
     x(t_{j+1}) (closed at the lower value).  At partition points every
     contributing tent is complete and integrates to the squared increment.
+
+    The u grid must be finite, increasing and uniform to 1e-9 of its span
+    (steps differ by at most that much) with at least 2^8 points.  Band ends
+    are placed on its nodes by arithmetic, with an exact binary-search
+    fallback, so they are the nodes ``np.searchsorted`` would find.
     """
     _require_same_grid(path, part)
     x = path.scalar()
@@ -322,8 +327,9 @@ def local_time_discrete(
     if len(u) < 256:
         raise ParameterError(f"u_grid needs at least 2^8 points, got {len(u)}")
     du = np.diff(u)
-    if np.any(du <= 0) or np.ptp(du) > 1e-9 * (u[-1] - u[0]):
-        raise ParameterError("u_grid must be uniform and increasing")
+    if (not np.all(np.isfinite(u)) or np.any(du <= 0)
+            or np.ptp(du) > 1e-9 * (u[-1] - u[0])):
+        raise ParameterError("u_grid must be finite, uniform and increasing")
     if u[0] > x.min() or u[-1] < x.max():
         raise ParameterError("u_grid does not cover the path range")
     if t_grid is None:
@@ -366,18 +372,43 @@ def local_time_discrete(
 _TENT_BLOCK = 2048  # complete tents expanded at once; bounds the (node, value) pairs
 
 
+def _uniform_search(u, v):
+    """``np.searchsorted(u, v, side="left")`` on a grid u uniform to 1e-9 of its span.
+
+    Each node is guessed by arithmetic, moved by at most one step each way and
+    its bracket ``u[g - 1] < v <= u[g]`` checked; a value whose bracket still
+    fails, where the grid's steps drift by more than one node from its end
+    points, is searched.
+    """
+    n = len(u)
+    g = np.ceil((v - u[0]) * ((n - 1) / (u[-1] - u[0])))
+    g = np.clip(g, 0, n, out=g).astype(np.intp)
+    padded = np.concatenate([[-np.inf], u, [np.inf]])   # padded[g] = u[g - 1]
+    g -= padded[g] >= v
+    g += padded[g + 1] < v
+    miss = (padded[g] >= v) | (padded[g + 1] < v)
+    if miss.any():
+        g[miss] = np.searchsorted(u, v[miss], side="left")
+    return g
+
+
 def _tent_pairs(u, xb):
     """(node, value) pairs of the complete tents over consecutive points xb.
 
     Pairs run in interval order; the pairs of tent k are ends[k]:ends[k + 1].
+    Each point's node is found once: searchsorted is monotone, so the band
+    ends of a tent are the smaller and larger node of its two points.
     """
-    a, b = xb[:-1], xb[1:]
-    i0 = np.searchsorted(u, np.minimum(a, b), side="left")
-    i1 = np.searchsorted(u, np.maximum(a, b), side="left")
-    cnt = i1 - i0
+    ib = _uniform_search(u, xb)
+    i0 = np.minimum(ib[:-1], ib[1:])
+    cnt = np.maximum(ib[:-1], ib[1:]) - i0
     ends = np.concatenate([[0], np.cumsum(cnt)])
-    nodes = np.arange(ends[-1]) + np.repeat(i0 - ends[:-1], cnt)
-    vals = 2.0 * np.abs(np.repeat(b, cnt) - u[nodes])
+    nodes = np.repeat(i0 - ends[:-1], cnt)
+    nodes += np.arange(ends[-1])
+    vals = np.repeat(xb[1:], cnt)
+    vals -= u[nodes]
+    np.abs(vals, out=vals)
+    vals *= 2.0
     return nodes, vals, ends
 
 

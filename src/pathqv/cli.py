@@ -34,7 +34,7 @@ from .calculus import (
     occupation_check,
     tanaka_residual,
 )
-from .errors import ParameterError, PQVError
+from .errors import GroupingError, ParameterError, PQVError
 from .partitions import PartitionSequence, gen_dyadic, gen_kadic, gen_lebesgue, gen_random_balanced
 from .paths import (
     _fgn_weights,
@@ -300,6 +300,18 @@ def _dyadic_selection(seq: PartitionSequence, beta: float):
     return reference, select_dyadic_subsequence(seq, beta, reference)
 
 
+def _level_roughness(path, seq: PartitionSequence, reference: PartitionSequence, n: int,
+                     l_n: int):
+    """roughness_statistic of coarse level n against reference level l_n; a
+    GroupingError names both levels."""
+    try:
+        return roughness_statistic(path, seq.level(n), reference.level(l_n),
+                                   coarse_level=n, fine_level=l_n)
+    except GroupingError as exc:
+        raise GroupingError(f"coarse level n = {n} against reference level l_n = {l_n}: "
+                            f"{exc}") from exc
+
+
 def cmd_roughness(cfg: dict, out_dir: FsPath, args) -> int:
     t0 = time.perf_counter()
     path_cfg, part_cfg = _sections(cfg, "roughness", "path", "partition")
@@ -309,8 +321,7 @@ def cmd_roughness(cfg: dict, out_dir: FsPath, args) -> int:
     reference, sel = _dyadic_selection(seq, ana.beta)
     records, max_gap = [], 0.0
     for n, l_n in zip(sel.level_ids, sel.l):
-        stat = roughness_statistic(path, seq.level(n), reference.level(l_n),
-                                   coarse_level=n, fine_level=l_n)
+        stat = _level_roughness(path, seq, reference, n, l_n)
         records.append((n, path.meta.seed, stat))
         max_gap = max(max_gap, stat.decomposition_gap)
     csvfile = out_dir / "roughness.csv"
@@ -344,11 +355,13 @@ def cmd_integrate(cfg: dict, out_dir: FsPath, args) -> int:
 def cmd_localtime(cfg: dict, out_dir: FsPath, args) -> int:
     t0 = time.perf_counter()
     path_cfg, part_cfg = _sections(cfg, "localtime", "path", "partition")
+    ana = cfg.get("analysis", AnalysisConfig())
+    if ana.u_points < 256:
+        raise ParameterError(f"analysis.u_points must be at least 256, got {ana.u_points}")
     path = build_path(path_cfg, args.seed)
     seq = build_partitions(part_cfg, path)
-    ana = cfg.get("analysis", AnalysisConfig())
     part = seq.partitions[-1]
-    u = default_u_grid(path, n_u=max(256, ana.u_points))
+    u = default_u_grid(path, n_u=ana.u_points)
     t_top = seq.horizon
     field_ = local_time_discrete(path, part, t_grid=[t_top / 2, t_top], u_grid=u,
                                  level=seq.level_ids[-1])
@@ -457,7 +470,7 @@ def _mc_single(experiment: str, seed: int, cfg: dict, ctx: dict) -> dict:
         reference, sel = ctx["selection"]
     else:
         reference, sel = _dyadic_selection(seq_a, ana.beta)
-    return {f"S_{n}": roughness_statistic(path, seq_a.level(n), reference.level(l_n)).S
+    return {f"S_{n}": _level_roughness(path, seq_a, reference, n, l_n).S
             for n, l_n in zip(sel.level_ids, sel.l)}
 
 

@@ -699,6 +699,23 @@ class TestLocalTime:
         with pytest.raises(pq.ParameterError):
             pq.local_time_discrete(w, part, t_grid=[1.0], u_grid=u)
 
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_non_finite_grid_rejected(self, bad):
+        w = pq.gen_brownian(0, 10, 1.0)
+        part = pq.gen_dyadic([5], 10, 1.0).level(5)
+        u = default_u_grid(w, n_u=256)
+        u[-1] = bad
+        with pytest.raises(pq.ParameterError, match="finite, uniform and increasing"):
+            pq.local_time_discrete(w, part, t_grid=[1.0], u_grid=u)
+
+    def test_non_uniform_grid_rejected(self):
+        w = pq.gen_brownian(0, 10, 1.0)
+        part = pq.gen_dyadic([5], 10, 1.0).level(5)
+        u = default_u_grid(w, n_u=256)
+        u[100] += 1e-8 * (u[-1] - u[0])
+        with pytest.raises(pq.ParameterError, match="finite, uniform and increasing"):
+            pq.local_time_discrete(w, part, t_grid=[1.0], u_grid=u)
+
     def test_needs_scalar_path(self):
         w = pq.gen_brownian(0, 10, 1.0, 2)
         part = pq.gen_dyadic([5], 10, 1.0).level(5)
@@ -757,6 +774,93 @@ def _assert_loop_bits(path, part, t_grid, u):
     return fld
 
 
+def _summed_grid(lo, hi, n):
+    """lo plus n - 1 equal steps summed one by one: uniform to rounding, but not
+    np.linspace(lo, hi, n) bit for bit."""
+    return lo + np.concatenate([[0.0], np.cumsum(np.full(n - 1, (hi - lo) / (n - 1)))])
+
+
+def _edge_grid(lo, hi, n):
+    """Steps h (1 + e) over the first half and h (1 - e) over the second, with
+    ptp(du) = 0.98e-9 of the span: admitted, yet mid-grid nodes drift more than
+    one step from where the end points put them."""
+    h = (hi - lo) / (n - 1)
+    e = 0.49e-9 * (n - 1)
+    steps = np.where(np.arange(n - 1) < (n - 1) // 2, h * (1 + e), h * (1 - e))
+    return lo + np.concatenate([[0.0], np.cumsum(steps)])
+
+
+def _arithmetic_guess(u, v):
+    """The node a uniform grid's end points put each value at, before any correction."""
+    n = len(u)
+    return np.clip(np.ceil((v - u[0]) * ((n - 1) / (u[-1] - u[0]))), 0, n).astype(np.intp)
+
+
+class TestUniformSearch:
+    """calculus._uniform_search equals np.searchsorted(u, v) on admitted grids."""
+
+    @staticmethod
+    def _grids():
+        yield np.linspace(-0.37, 1.21, 256)
+        yield np.linspace(0.0, 1.0, 513)
+        yield np.linspace(-3.5, 2.25, 1000)
+        yield _summed_grid(-0.37, 1.21, 1000)
+        yield _summed_grid(0.0, 1.0 + 1 / 384, 386)
+        yield _edge_grid(-0.5, 0.5, 1 << 16)
+
+    @staticmethod
+    def _values(u, rng):
+        span = u[-1] - u[0]
+        return np.concatenate([
+            rng.uniform(u[0] - 0.1 * span, u[-1] + 0.1 * span, 20000),
+            u, np.nextafter(u, np.inf), np.nextafter(u, -np.inf),
+            [u[0], u[-1], u[0] - span, u[-1] + span, u[0] - 1e-300, u[-1] + 1e-300]])
+
+    def test_matches_searchsorted(self):
+        rng = np.random.default_rng(3)
+        for u in self._grids():
+            v = self._values(u, rng)
+            got = calculus._uniform_search(u, v)
+            assert got.dtype == np.intp
+            assert np.array_equal(got, np.searchsorted(u, v, side="left"))
+
+    def test_grids_reach_every_branch(self):
+        # the matrix is only a gate if guesses miss: by one node below and
+        # above (both correction steps) and by two (the fallback search)
+        rng = np.random.default_rng(3)
+        misses = set()
+        for u in self._grids():
+            v = self._values(u, rng)
+            misses |= set(np.unique(_arithmetic_guess(u, v) - np.searchsorted(u, v)).tolist())
+        assert {-1, 1, 2} <= misses
+
+    def test_searches_only_values_missed_by_more_than_one_node(self, monkeypatch):
+        # each correction step keeps the values its guess misses by one out of
+        # the fallback search
+        rng = np.random.default_rng(3)
+        searchsorted, searched = np.searchsorted, []
+
+        def spy(a, v, *args, **kwargs):
+            searched.append(np.size(v))
+            return searchsorted(a, v, *args, **kwargs)
+
+        for u in self._grids():
+            v = self._values(u, rng)
+            far = np.abs(_arithmetic_guess(u, v) - searchsorted(u, v)) > 1
+            searched.clear()
+            with monkeypatch.context() as m:
+                m.setattr(np, "searchsorted", spy)
+                calculus._uniform_search(u, v)
+            assert sum(searched) == np.count_nonzero(far)
+
+    def test_summed_and_edge_grids_are_admitted_and_not_linspaces(self):
+        w = pq.gen_brownian(7, 10, 1.0)
+        part = pq.gen_dyadic([6], 10, 1.0).level(6)
+        for u in (_summed_grid(-3.1, 0.1, 1000), _edge_grid(-3.1, 0.1, 1 << 16)):
+            assert not np.array_equal(u, np.linspace(u[0], u[-1], len(u)))
+            pq.local_time_discrete(w, part, t_grid=[1.0], u_grid=u)
+
+
 class TestLocalTimeOracle:
     """The blocked bincount field equals the per-interval tent loop byte for byte."""
 
@@ -803,6 +907,39 @@ class TestLocalTimeOracle:
             part = pq.gen_dyadic([lev], 10, 1.0).level(lev)
             _assert_loop_bits(w, part, None, u)
             _assert_loop_bits(w, part, [0.25, 0.3125 + 2.0**-10, 1.0], u)
+
+    @pytest.mark.parametrize("kind", ["brownian", "mixed", "fbm"])
+    def test_summed_grid(self, kind):
+        # uniform to rounding but not a linspace: nodes sit an ulp or so off
+        # the arithmetic of their end points
+        w = _oracle_path(kind, 11)
+        lin = default_u_grid(w, n_u=1000)
+        u = _summed_grid(lin[0], lin[-1], 1000)
+        for part in (*pq.gen_dyadic([6, 9, 11], 11, 1.0),
+                     *pq.gen_random_balanced(5, [7], 11, 1.0, 3.0)):
+            for t_grid in _oracle_t_grids(11):
+                _assert_loop_bits(w, part, t_grid, u)
+
+    def test_path_values_near_summed_grid_nodes(self):
+        # values j / 2^10 on or within rounding of the nodes k / 384
+        w = pq.gen_deterministic("linear", {"slope": 1.0}, 10, 1.0)
+        u = _summed_grid(0.0, 1.0 + 1 / 384, 386)
+        for lev in (7, 10):
+            part = pq.gen_dyadic([lev], 10, 1.0).level(lev)
+            _assert_loop_bits(w, part, None, u)
+
+    def test_grid_at_the_edge_of_admission(self):
+        # 2^16 nodes whose middle drifts more than a step from the end-point
+        # arithmetic: some path points need the fallback search
+        w = _oracle_path("brownian", 10)
+        x = w.scalar()
+        lo, hi = float(x.min()), float(x.max())
+        u = _edge_grid(lo - 0.05 * (hi - lo), hi + 0.05 * (hi - lo), 1 << 16)
+        guess_off = _arithmetic_guess(u, x) - np.searchsorted(u, x)
+        assert np.abs(guess_off).max() >= 2
+        for lev in (6, 10):
+            part = pq.gen_dyadic([lev], 10, 1.0).level(lev)
+            _assert_loop_bits(w, part, [0.5, 1.0], u)
 
     def test_rows_without_new_tents(self):
         # level 6 completes no interval by 2^-8; repeated times add nothing

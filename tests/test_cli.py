@@ -125,6 +125,30 @@ class TestPipelines:
         head = (out / "localtime.csv").read_text().splitlines()[0]
         assert head == "t,u,L"
 
+    @pytest.mark.parametrize("u_points", [100, 255])
+    def test_localtime_refuses_few_u_points(self, tmp_path, capsys, u_points):
+        out = tmp_path / "out"
+        cfg = _write(tmp_path, {
+            "path": {"kind": "brownian", "seed": 5, "M": 12},
+            "partition": {"generator": "dyadic", "levels": [8, 10], "M": 12},
+            "analysis": {"u_points": u_points},
+        })
+        assert _run("localtime", cfg, "--out-dir", str(out)) == 1
+        err = capsys.readouterr().err
+        assert err.strip() == f"error: analysis.u_points must be at least 256, got {u_points}"
+        assert not (out / "report.json").exists()
+
+    def test_localtime_runs_its_u_points(self, tmp_path):
+        out = tmp_path / "out"
+        cfg = _write(tmp_path, {
+            "path": {"kind": "brownian", "seed": 5, "M": 12},
+            "partition": {"generator": "dyadic", "levels": [8, 10], "M": 12},
+            "analysis": {"u_points": 256},
+        })
+        assert _run("localtime", cfg, "--out-dir", str(out)) in (0, 2)
+        rows = (out / "localtime.csv").read_text().splitlines()[1:]
+        assert len(rows) == 2 * 256
+
     def test_roughness_pipeline(self, tmp_path):
         out = tmp_path / "out"
         cfg = _write(tmp_path, {
@@ -192,6 +216,22 @@ class TestMonteCarlo:
         doc["analysis"] = {"tol": tol}
         code = _run("mc", _write(tmp_path, doc, "b.json"), "--out-dir", str(tmp_path / "b"))
         assert code == (0 if s["S_10"] < tol else 2)
+
+    def test_grouping_error_names_its_levels(self, tmp_path, capsys):
+        # beta = 0.9 selects l_n = n on random balanced levels from 0, whose
+        # cells can be finer than the dyadic reference level's
+        doc = {"path": {"kind": "brownian", "M": 16, "seed": 1},
+               "partition": {"generator": "random_balanced", "levels": [0, 4], "M": 16,
+                             "seed": 7, "c_target": 3.0},
+               "analysis": {"beta": 0.9}}
+        assert _run("roughness", _write(tmp_path, doc), "--out-dir", str(tmp_path / "a")) == 1
+        msg = ("coarse level n = 2 against reference level l_n = 2: coarse cell 1 contains "
+               "no fine point (fine mesh 0.25 vs coarse min step 0.149612)")
+        assert capsys.readouterr().err.strip() == f"error: {msg}"
+        doc.update(experiment="roughness", seeds=[0, 2])
+        cfg = _write(tmp_path, doc, "mc.json")
+        assert _run("mc", cfg, "--out-dir", str(tmp_path / "b"), "--workers", "1") == 1
+        assert capsys.readouterr().err.strip() == f"error: seed 0: {msg}"
 
     def test_stats_carry_sample_variance(self, tmp_path):
         out = tmp_path / "out"
