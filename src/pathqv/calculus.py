@@ -295,7 +295,13 @@ class LocalTimeField:
         return np.trapezoid(w, self.u_grid, axis=1)
 
 
+def _require_u_points(n_u: int) -> None:
+    if n_u < 256:
+        raise ParameterError(f"u_grid needs at least 2^8 points, got {n_u}")
+
+
 def default_u_grid(path: SampledPath, n_u: int = 512, margin: float = 0.05) -> np.ndarray:
+    _require_u_points(n_u)
     x = path.scalar()
     lo, hi = float(x.min()), float(x.max())
     pad = margin * max(hi - lo, 1e-12)
@@ -324,8 +330,7 @@ def local_time_discrete(
     _require_same_grid(path, part)
     x = path.scalar()
     u = default_u_grid(path) if u_grid is None else np.asarray(u_grid, dtype=np.float64)
-    if len(u) < 256:
-        raise ParameterError(f"u_grid needs at least 2^8 points, got {len(u)}")
+    _require_u_points(len(u))
     du = np.diff(u)
     if (not np.all(np.isfinite(u)) or np.any(du <= 0)
             or np.ptp(du) > 1e-9 * (u[-1] - u[0])):
@@ -375,17 +380,15 @@ _TENT_BLOCK = 2048  # complete tents expanded at once; bounds the (node, value) 
 def _uniform_search(u, v):
     """``np.searchsorted(u, v, side="left")`` on a grid u uniform to 1e-9 of its span.
 
-    Each node is guessed by arithmetic, moved by at most one step each way and
-    its bracket ``u[g - 1] < v <= u[g]`` checked; a value whose bracket still
-    fails, where the grid's steps drift by more than one node from its end
-    points, is searched.
+    Each node is guessed by arithmetic on the grid's end points and its bracket
+    ``u[g - 1] < v <= u[g]`` checked; a value whose bracket fails (within
+    rounding of a node, or where the grid's steps drift from its end points) is
+    searched.
     """
     n = len(u)
     g = np.ceil((v - u[0]) * ((n - 1) / (u[-1] - u[0])))
     g = np.clip(g, 0, n, out=g).astype(np.intp)
     padded = np.concatenate([[-np.inf], u, [np.inf]])   # padded[g] = u[g - 1]
-    g -= padded[g] >= v
-    g += padded[g + 1] < v
     miss = (padded[g] >= v) | (padded[g + 1] < v)
     if miss.any():
         g[miss] = np.searchsorted(u, v[miss], side="left")

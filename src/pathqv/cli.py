@@ -355,11 +355,9 @@ def cmd_integrate(cfg: dict, out_dir: FsPath, args) -> int:
 def cmd_localtime(cfg: dict, out_dir: FsPath, args) -> int:
     t0 = time.perf_counter()
     path_cfg, part_cfg = _sections(cfg, "localtime", "path", "partition")
-    ana = cfg.get("analysis", AnalysisConfig())
-    if ana.u_points < 256:
-        raise ParameterError(f"analysis.u_points must be at least 256, got {ana.u_points}")
     path = build_path(path_cfg, args.seed)
     seq = build_partitions(part_cfg, path)
+    ana = cfg.get("analysis", AnalysisConfig())
     part = seq.partitions[-1]
     u = default_u_grid(path, n_u=ana.u_points)
     t_top = seq.horizon

@@ -125,7 +125,7 @@ class TestPipelines:
         head = (out / "localtime.csv").read_text().splitlines()[0]
         assert head == "t,u,L"
 
-    @pytest.mark.parametrize("u_points", [100, 255])
+    @pytest.mark.parametrize("u_points", [-5, 0, 100, 255])
     def test_localtime_refuses_few_u_points(self, tmp_path, capsys, u_points):
         out = tmp_path / "out"
         cfg = _write(tmp_path, {
@@ -135,7 +135,7 @@ class TestPipelines:
         })
         assert _run("localtime", cfg, "--out-dir", str(out)) == 1
         err = capsys.readouterr().err
-        assert err.strip() == f"error: analysis.u_points must be at least 256, got {u_points}"
+        assert err.strip() == f"error: u_grid needs at least 2^8 points, got {u_points}"
         assert not (out / "report.json").exists()
 
     def test_localtime_runs_its_u_points(self, tmp_path):
