@@ -48,14 +48,27 @@ with and without ``partition_b``, and ``invariance`` against random balanced
 levels, against dyadic levels with no partner for the finest A level (so the
 record reads a coarser pair), against Lebesgue levels, unbalanced ones among
 them, and against levels with no admissible pair.  Stdlib plus numpy.
+
+The eight lines of the M = 8 matrix are pinned in ``kernel_digest_m8.json``
+beside this script, keyed by the numpy version, ``platform.machine()`` and the
+CPU features numpy enabled, since SIMD loops and the FFT may round one ulp
+differently elsewhere.  ``tests/test_kernel_digest.py`` asserts the pin on a
+platform with that key and skips, naming the differing key, on any other.  A
+change that moves bytes on purpose replaces, in its own diff, the pin of its
+platform with the JSON record that this prints:
+
+    PYTHONPATH=src python -c "import runpy; print(runpy.run_path('scripts/kernel_digest.py')['pin']())"
 """
 
 from __future__ import annotations
 
 import hashlib
 import io
+import json
+import platform
 import sys
 from dataclasses import fields, is_dataclass
+from pathlib import Path
 
 import numpy as np
 
@@ -64,6 +77,7 @@ from pathqv import io as pio
 from pathqv.calculus import default_u_grid
 from pathqv.cli import parse_config, run_seeds
 
+PIN_FILE = Path(__file__).with_name("kernel_digest_m8.json")
 FAMILIES = ("qv", "invariance", "roughness", "localtime", "ito", "isometry", "io", "mc")
 FUNCTIONS = ("square", "cubic", "sin", "exp", "identity", "abs_smooth")
 
@@ -282,6 +296,19 @@ def digests(levels=(8, 11, 14)) -> dict:
 def format_digests(digests_by_family: dict) -> str:
     """One line per family: its name, then its digest."""
     return "\n".join(f"{name:<11}{digest}" for name, digest in digests_by_family.items())
+
+
+def platform_key() -> dict:
+    """What the pinned bytes depend on beyond the code: numpy, machine, SIMD features."""
+    from numpy._core._multiarray_umath import __cpu_features__
+    return {"numpy": np.__version__, "machine": platform.machine(),
+            "cpu_features": sorted(name for name, on in __cpu_features__.items() if on)}
+
+
+def pin() -> str:
+    """The pin file's JSON record for this platform: its key and the M = 8 lines."""
+    record = {**platform_key(), "lines": format_digests(digests((8,))).splitlines()}
+    return json.dumps(record, indent=2)
 
 
 def main() -> int:

@@ -289,10 +289,9 @@ class LocalTimeField:
     def du(self) -> float:
         return float(self.u_grid[1] - self.u_grid[0])
 
-    def integrate(self, weight=None) -> np.ndarray:
-        """Trapezoid integral over u of L (optionally times a weight), per t."""
-        w = self.values if weight is None else self.values * weight[None, :]
-        return np.trapezoid(w, self.u_grid, axis=1)
+    def integrate(self) -> np.ndarray:
+        """Trapezoid integral over u of L, per t."""
+        return np.trapezoid(self.values, self.u_grid, axis=1)
 
 
 def _require_u_points(n_u: int) -> None:
@@ -300,11 +299,16 @@ def _require_u_points(n_u: int) -> None:
         raise ParameterError(f"u_grid needs at least 2^8 points, got {n_u}")
 
 
-def default_u_grid(path: SampledPath, n_u: int = 512, margin: float = 0.05) -> np.ndarray:
+#: Share of the path's range that default_u_grid pads on each side.
+_U_MARGIN = 0.05
+
+
+def default_u_grid(path: SampledPath, n_u: int = 512) -> np.ndarray:
+    """n_u equally spaced levels over the path's range, padded by _U_MARGIN = 5 % each side."""
     _require_u_points(n_u)
     x = path.scalar()
     lo, hi = float(x.min()), float(x.max())
-    pad = margin * max(hi - lo, 1e-12)
+    pad = _U_MARGIN * max(hi - lo, 1e-12)
     return np.linspace(lo - pad, hi + pad, n_u)
 
 
@@ -523,17 +527,16 @@ class WeakL2Report:
     passed: bool                  # all last-pair differences below tol
 
 
-def weak_l2_convergence(fields, bank=None, tol: float = 0.05, levels=None) -> WeakL2Report:
+def weak_l2_convergence(fields, bank=None, tol: float = 0.05) -> WeakL2Report:
     """Pairings of the final-time local time rows against a test-function bank.
 
     All fields must share the u grid; the pairing at each level is the
     quadrature of L_T * h, and convergence is judged by the gap between
-    consecutive levels, with the verdict taken at the last pair.
+    consecutive levels, with the verdict taken at the last pair.  Level ids
+    are the fields' own.
     """
     if len(fields) < 3:
         raise ParameterError("need at least 3 levels")
-    if levels is not None and len(levels) != len(fields):
-        raise ParameterError(f"levels names {len(levels)} levels for {len(fields)} fields")
     u = fields[0].u_grid
     for f in fields[1:]:
         if len(f.u_grid) != len(u) or not np.allclose(f.u_grid, u):
@@ -546,10 +549,9 @@ def weak_l2_convergence(fields, bank=None, tol: float = 0.05, levels=None) -> We
     for i, (_, h) in enumerate(bank):
         pair[i] = np.trapezoid(rows * h[None, :], u, axis=1)
     cauchy = np.abs(np.diff(pair, axis=1))
-    ids = tuple(levels) if levels is not None else tuple(f.level for f in fields)
     return WeakL2Report(
         names=names,
-        level_ids=ids,
+        level_ids=tuple(f.level for f in fields),
         pairings=pair,
         cauchy=cauchy,
         tol=float(tol),

@@ -326,6 +326,8 @@ def gen_random_balanced(
     level_ids = [int(n) for n in levels]
     if not level_ids:
         raise ParameterError("empty level range")
+    if any(n < 0 for n in level_ids):
+        raise ParameterError("levels must be non-negative")
     parts = []
     for n in level_ids:
         cells = 1 << n
@@ -369,12 +371,16 @@ class BalanceReport:
     growth_min: np.ndarray        # min^n / min^{n+1}
 
 
-def _window_count_ratio(part: Partition, h: float, n_probe: int) -> float:
+#: Window starts that balance_report probes per level, evenly spaced.
+_N_PROBE = 129
+
+
+def _window_count_ratio(part: Partition, h: float) -> float:
     # counts partition points in half-open windows [t, t+h) over a probe grid;
     # the half-open convention keeps dyadic windows on dyadic partitions exact
     t0 = part.times[0]
     span = part.span
-    probes = t0 + np.linspace(0.0, span - h, n_probe)
+    probes = t0 + np.linspace(0.0, span - h, _N_PROBE)
     lo = np.searchsorted(part.times, probes, side="left")
     hi = np.searchsorted(part.times, probes + h, side="left")
     counts = hi - lo
@@ -384,10 +390,9 @@ def _window_count_ratio(part: Partition, h: float, n_probe: int) -> float:
     return float(counts.max() / cmin)
 
 
-def balance_report(
-    seq: PartitionSequence, h: float, threshold: float = 8.0, n_probe: int = 129
-) -> BalanceReport:
-    """Per-level balance diagnostics; verdicts are finite-level proxies."""
+def balance_report(seq: PartitionSequence, h: float, threshold: float = 8.0) -> BalanceReport:
+    """Per-level balance diagnostics; verdicts are finite-level proxies.  The
+    window ratios probe _N_PROBE = 129 windows of length h per level."""
     if len(seq) < 2:
         raise ParameterError("balance report needs at least 2 levels")
     if not 0.0 < h <= seq.horizon:
@@ -403,7 +408,7 @@ def balance_report(
         <= p.n_intervals * p.index_steps.max()
         for p in seq
     )
-    window = np.array([_window_count_ratio(p, h, n_probe) for p in seq])
+    window = np.array([_window_count_ratio(p, h) for p in seq])
     growth_counts = counts[1:] / counts[:-1]
     meshes = seq.meshes()
     mins = seq.min_steps()
@@ -439,17 +444,19 @@ class ComparabilityReport:
     comparable: bool
 
 
-def comparability(
-    tau: PartitionSequence,
-    sigma: PartitionSequence,
-    slope_tol: float = 0.2,
-    ratio_cap: float = 64.0,
-) -> ComparabilityReport:
+#: Largest |LS slope| per level of a log ratio that comparability calls trendless.
+_SLOPE_TOL = 0.2
+#: Largest ratio, and inverse of the smallest, that comparability admits.
+_RATIO_CAP = 64.0
+
+
+def comparability(tau: PartitionSequence, sigma: PartitionSequence) -> ComparabilityReport:
     """Finite-level comparability of two sequences on common level ids.
 
     The asymptotic definition (both mesh-ratio limits finite and positive)
-    becomes: the log mesh-ratio shows no geometric trend (|LS slope| below
-    slope_tol per level) and all tested ratios stay within [1/cap, cap].
+    becomes: the log mesh-ratio shows no geometric trend (|LS slope| at most
+    _SLOPE_TOL = 0.2 per level) and all tested ratios stay within
+    [1/_RATIO_CAP, _RATIO_CAP] = [1/64, 64].
     Count ratios get the same treatment; for balanced inputs the two verdicts
     should agree.
     """
@@ -466,7 +473,7 @@ def comparability(
 
     def _verdict(r):
         slope = float(np.polyfit(ns, np.log(r), 1)[0])
-        ok = abs(slope) <= slope_tol and r.max() <= ratio_cap and r.min() >= 1.0 / ratio_cap
+        ok = abs(slope) <= _SLOPE_TOL and r.max() <= _RATIO_CAP and r.min() >= 1.0 / _RATIO_CAP
         return slope, bool(ok)
 
     trend_m, ok_m = _verdict(mesh_r)
@@ -488,93 +495,54 @@ def comparability(
 
 @dataclass(frozen=True)
 class AdjustmentMap:
-    mode: str
-    source_levels: tuple          # the n values the map is indexed by
-    mapped_levels: tuple          # k(n) for modes i/ii, r(n) for mode iii
+    source_levels: tuple          # the sigma levels n the map is indexed by
+    mapped_levels: tuple          # k(n)
     precondition_ok: bool         # max tested |sigma^n|/|tau^n| < 1
-    sandwich_ok: tuple            # per-n defining inequalities (modes i/ii)
-    sub_ratios: np.ndarray        # |sigma^n| / |tau^{k(n)}| (mode ii), else empty
-    fallback_levels: tuple        # n where mode iii fell back to the lowest level
+    sandwich_ok: tuple            # per-n defining inequalities
+    sub_ratios: np.ndarray        # |sigma^n| / |tau^{k(n)}|
 
     def as_dict(self) -> dict:
         return dict(zip(self.source_levels, self.mapped_levels))
 
 
-def adjust_subsequence(
-    tau: PartitionSequence, sigma: PartitionSequence, mode: str = "i"
-) -> AdjustmentMap:
-    """Level maps that align the mesh of tau with the mesh of sigma.
+def adjust_subsequence(tau: PartitionSequence, sigma: PartitionSequence) -> AdjustmentMap:
+    """The level map k(n) that aligns the mesh of tau with the mesh of sigma.
 
-    Modes "i" and "ii" compute k(n), the first tau level at or after n whose
-    mesh drops to |sigma^n| or below; mode "ii" additionally reports the mesh
-    ratios along the selected subsequence.  Mode "iii" computes r(n), the last
-    sigma level at or before n with mesh above |tau^n| (r(n) = n when
-    |sigma^n| >= |tau^n| already).
+    k(n) is the first tau level at or after n whose mesh drops to |sigma^n|
+    or below; the mesh ratios along the selected subsequence are reported.
     """
-    if mode not in ("i", "ii", "iii"):
-        raise ParameterError(f"mode must be one of i, ii, iii; got {mode!r}")
     _require_same_grid(tau, sigma)
     common = sorted(set(tau.level_ids) & set(sigma.level_ids))
     pre_ok = bool(
         common
         and max(sigma.level(n).mesh / tau.level(n).mesh for n in common) < 1.0
     )
-
-    if mode in ("i", "ii"):
-        source = sigma.level_ids
-        mapped, sandwich, ratios = [], [], []
-        tau_ids = list(tau.level_ids)
-        for n in source:
-            target = sigma.level(n).mesh
-            candidates = [k for k in tau_ids if k >= n]
-            k_n = next((k for k in candidates if tau.level(k).mesh <= target), None)
-            if k_n is None:
-                raise ExhaustionError(
-                    f"mesh threshold {target:g} not reached by tau within levels "
-                    f"<= {tau_ids[-1]} (needed for sigma level {n})",
-                    level=n,
-                )
-            mapped.append(k_n)
-            # defining property: condition holds at k(n) and at no earlier k >= n
-            earlier = [k for k in candidates if k < k_n]
-            sandwich.append(
-                tau.level(k_n).mesh <= target
-                and all(tau.level(k).mesh > target for k in earlier)
+    mapped, sandwich, ratios = [], [], []
+    tau_ids = list(tau.level_ids)
+    for n in sigma.level_ids:
+        target = sigma.level(n).mesh
+        candidates = [k for k in tau_ids if k >= n]
+        k_n = next((k for k in candidates if tau.level(k).mesh <= target), None)
+        if k_n is None:
+            raise ExhaustionError(
+                f"mesh threshold {target:g} not reached by tau within levels "
+                f"<= {tau_ids[-1]} (needed for sigma level {n})",
+                level=n,
             )
-            ratios.append(target / tau.level(k_n).mesh)
-        return AdjustmentMap(
-            mode=mode,
-            source_levels=tuple(source),
-            mapped_levels=tuple(mapped),
-            precondition_ok=pre_ok,
-            sandwich_ok=tuple(sandwich),
-            sub_ratios=np.asarray(ratios) if mode == "ii" else np.empty(0),
-            fallback_levels=(),
+        mapped.append(k_n)
+        # defining property: condition holds at k(n) and at no earlier k >= n
+        earlier = [k for k in candidates if k < k_n]
+        sandwich.append(
+            tau.level(k_n).mesh <= target
+            and all(tau.level(k).mesh > target for k in earlier)
         )
-
-    # mode iii
-    source = tau.level_ids
-    sigma_ids = list(sigma.level_ids)
-    mapped, fallback = [], []
-    for n in source:
-        target = tau.level(n).mesh
-        if n in sigma.level_ids and sigma.level(n).mesh >= target:
-            mapped.append(n)
-            continue
-        candidates = [r for r in sigma_ids if r <= n and sigma.level(r).mesh > target]
-        if candidates:
-            mapped.append(max(candidates))
-        else:
-            mapped.append(sigma_ids[0])
-            fallback.append(n)
+        ratios.append(target / tau.level(k_n).mesh)
     return AdjustmentMap(
-        mode="iii",
-        source_levels=tuple(source),
+        source_levels=tuple(sigma.level_ids),
         mapped_levels=tuple(mapped),
         precondition_ok=pre_ok,
-        sandwich_ok=(),
-        sub_ratios=np.empty(0),
-        fallback_levels=tuple(fallback),
+        sandwich_ok=tuple(sandwich),
+        sub_ratios=np.asarray(ratios),
     )
 
 

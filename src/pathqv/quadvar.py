@@ -229,18 +229,18 @@ def default_qv_tol(mesh: float) -> float:
     return 3.0 * np.sqrt(2.0 * mesh)
 
 
-#: Largest mesh ratio of a level pair that invariance_check admits by default.
+#: Largest mesh ratio, either way, of a level pair that invariance_check admits.
 _MESH_MATCH_CAP = 4.0
 
 
 def _pair_levels(path: SampledPath, seq_a: PartitionSequence, seq_b: PartitionSequence,
-                 balance_threshold: float, mesh_match_cap: float = _MESH_MATCH_CAP):
+                 balance_threshold: float):
     """The mesh-matched level pairs of invariance_check: (pairs, mesh_a, mesh_b)
     lists and the index of the finest pair, the one its verdict reads.
 
     Both sequences must sit on the path's grid and be balanced.  Each level of
     A is paired with the B level of nearest log-mesh, when the mesh ratio
-    stays within mesh_match_cap; the finest pair is the argmin of mesh_a
+    stays within _MESH_MATCH_CAP = 4; the finest pair is the argmin of mesh_a
     (the first on ties).
     """
     for name, s in (("A", seq_a), ("B", seq_b)):
@@ -256,13 +256,13 @@ def _pair_levels(path: SampledPath, seq_a: PartitionSequence, seq_b: PartitionSe
     for na, pa in zip(seq_a.level_ids, seq_a):
         j = int(np.argmin(np.abs(np.log(mesh_b / pa.mesh))))
         ratio = mesh_b[j] / pa.mesh
-        if 1.0 / mesh_match_cap <= ratio <= mesh_match_cap:
+        if 1.0 / _MESH_MATCH_CAP <= ratio <= _MESH_MATCH_CAP:
             pairs.append((na, seq_b.level_ids[j]))
             ma.append(pa.mesh)
             mb.append(mesh_b[j])
     if not pairs:
         raise PairingError(
-            f"no level of B has mesh within x{mesh_match_cap:g} of any level of A"
+            f"no level of B has mesh within x{_MESH_MATCH_CAP:g} of any level of A"
         )
     return pairs, ma, mb, int(np.argmin(ma))
 
@@ -274,16 +274,14 @@ def invariance_check(
     eval_times=None,
     tol: float | None = None,
     balance_threshold: float = 8.0,
-    mesh_match_cap: float = _MESH_MATCH_CAP,
 ) -> InvarianceReport:
     """Sup distance between QV curves along two balanced sequences.
 
     Levels are paired by nearest log-mesh; a pair is admissible when the mesh
-    ratio stays within mesh_match_cap.  The verdict compares the finest
+    ratio stays within _MESH_MATCH_CAP = 4.  The verdict compares the finest
     admissible pair against tol (default CLT-scaled in the finest mesh).
     """
-    pairs, ma, mb, finest = _pair_levels(path, seq_a, seq_b, balance_threshold,
-                                         mesh_match_cap)
+    pairs, ma, mb, finest = _pair_levels(path, seq_a, seq_b, balance_threshold)
     eval_idx = _resolve_eval(path, None, eval_times)
     # pairs follow A's levels; with both sequences ordered by mesh, a B level
     # serving two pairs serves adjacent ones, so holding the last B curve

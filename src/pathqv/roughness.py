@@ -278,18 +278,21 @@ class AveragingReport:
     holder_bound: np.ndarray      # N(sigma^n) * |sigma^{l_n}|^(2 alpha_hat)
 
 
+#: Constant of the O(mesh^kappa) rate that averaging_statistic's subsequence meets.
+_BIG_O_CONST = 1.0
+
+
 def averaging_statistic(
     path: SampledPath,
     seq: PartitionSequence,
     kappa: float,
     alpha_hat: float,
-    big_o_const: float = 1.0,
     levels=None,
 ) -> AveragingReport:
     """Cross-product sums along a power-law-mesh subsequence of one sequence.
 
     For each evaluated level n the subsequence level l_n is the first level
-    of seq whose mesh falls below big_o_const * mesh_n^kappa; the grouped
+    of seq whose mesh falls below _BIG_O_CONST = 1 times mesh_n^kappa; the grouped
     cross-product sum and the Hoelder remainder bound
     N(sigma^n) |sigma^{l_n}|^(2 alpha) are reported per level.  `levels`
     restricts the evaluated coarse levels (the sequence must extend deep
@@ -304,7 +307,7 @@ def averaging_statistic(
     ids = [int(n) for n in levels] if levels is not None else list(seq.level_ids)
     sel, sums, bound = [], [], []
     for n in ids:
-        target = big_o_const * seq.level(n).mesh ** kappa
+        target = _BIG_O_CONST * seq.level(n).mesh ** kappa
         l_n = next(
             (l for l in seq.level_ids if l >= n and seq.level(l).mesh <= target), None
         )

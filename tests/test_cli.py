@@ -442,6 +442,16 @@ class TestConfigTypes:
         assert self._gen_path(tmp_path, section) == 1
         assert capsys.readouterr().err == "error: weierstrass b must be an odd integer >= 3, got 7.5\n"
 
+    @pytest.mark.parametrize("command,section", [("roughness", "partition"),
+                                                 ("invariance", "partition_b")])
+    def test_negative_random_balanced_level_exits_one(self, tmp_path, capsys, command, section):
+        # a level of -1 once reached 1 << n in gen_random_balanced: a traceback
+        doc = {"path": {"kind": "brownian", "M": 12},
+               "partition": {"generator": "dyadic", "levels": [2, 5], "M": 12},
+               section: {"generator": "random_balanced", "levels": [-1, 3], "M": 12}}
+        assert _run(command, _write(tmp_path, doc), "--out-dir", str(tmp_path / "out")) == 1
+        assert capsys.readouterr().err == "error: levels must be non-negative\n"
+
     def test_int_for_float_and_null_for_optional_accepted(self, tmp_path):
         section = {"kind": "brownian", "seed": 1, "M": 8, "T": 2, "H": None, "file": None}
         assert self._gen_path(tmp_path, section) == 0

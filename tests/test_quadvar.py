@@ -419,6 +419,17 @@ class TestInvariance:
         with pytest.raises(pq.PairingError):
             pq.invariance_check(w, a, b)
 
+    def test_mesh_match_cap_is_four(self):
+        # a mesh ratio of exactly 1/4 pairs; 1/8 does not, and the message names x4
+        w = pq.gen_brownian(0, 12, 1.0)
+        a = pq.gen_dyadic([6], 12, 1.0)
+        rep = pq.invariance_check(w, a, pq.gen_dyadic([8], 12, 1.0))
+        assert rep.pairs == ((6, 8),)
+        assert rep.mesh_b[0] / rep.mesh_a[0] == 0.25
+        with pytest.raises(pq.PairingError) as err:
+            pq.invariance_check(w, a, pq.gen_dyadic([9], 12, 1.0))
+        assert str(err.value) == "no level of B has mesh within x4 of any level of A"
+
     def test_each_level_computed_once(self, monkeypatch):
         w = pq.gen_brownian(3, 12, 1.0)
         a = pq.gen_dyadic(range(4, 11), 12, 1.0)

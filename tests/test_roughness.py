@@ -289,6 +289,26 @@ def test_double_loop_oracle_property(path, data):
     assert abs(s_fast - s_slow) <= 1e-12 * max(1.0, abs(s_slow))
 
 
+@pytest.mark.parametrize("stopped", [False, True])
+def test_truncated_statistic_matches_double_loop(stopped):
+    # S(t) against the literal loop at M = 8, on a dyadic coarse level and on a
+    # random balanced one stopped to [0.3, 0.7]: t = 1/16 lies before the first
+    # stopped point, then t at a fine point, one master step past it, and T
+    M = 8
+    w = pq.gen_brownian(3, M, 1.0)
+    coarse = (pq.gen_random_balanced(7, [3], M, 1.0, 3.0) if stopped
+              else pq.gen_dyadic([3], M, 1.0))
+    fine = pq.gen_dyadic([M - 1], M, 1.0)
+    if stopped:
+        coarse, fine = (pq.stop_partition(s, (0.3, 0.7)) for s in (coarse, fine))
+    coarse, fine = coarse.partitions[0], fine.partitions[0]
+    at_point = float(fine.indices_at(fine.n_intervals // 2) * fine.master_step)
+    for t in (1 / 16, at_point, at_point + fine.master_step, 1.0):
+        s_fast = pq.roughness_statistic(w, coarse, fine, t).S
+        s_slow = pq.roughness_double_loop(w, coarse, fine, t)
+        assert abs(s_fast - s_slow) <= 1e-12 * max(1.0, abs(s_slow)), t
+
+
 class TestStoppedRoughness:
     def test_stop_matches_truncated_profile(self):
         w = pq.gen_brownian(9, 12, 1.0)
